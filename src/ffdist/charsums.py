@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .field import FieldContext
+from .field import FieldContext, norm_squared
 
 
 @dataclass(frozen=True)
@@ -62,10 +62,6 @@ def salie(ctx: FieldContext, a: int, b: int) -> complex:
     t = np.arange(1, q, dtype=np.int64)
     idx = (a % q * t + b % q * ctx.inv_table[1:]) % q
     return complex(np.sum(ctx.eta_table[1:] * ctx.char_table[idx]))
-
-
-def _norm_squared(ctx: FieldContext, m: Sequence[int]) -> int:
-    return int(sum(int(c) * int(c) for c in m) % ctx.q)
 
 
 def sphere_unit(ctx: FieldContext, s: int) -> complex:
@@ -115,7 +111,7 @@ def sphere_fourier_closed(ctx: FieldContext, s: int, r: int, m: Sequence[int]) -
         raise ValueError(f"point has {len(mm)} coordinates, expected s = {s}")
     j = np.arange(1, q, dtype=np.int64)
     inv4 = int(ctx.inv_table[4 % q])
-    idx = (j * (r % q) + _norm_squared(ctx, mm) * inv4 % q * ctx.inv_table[1:]) % q
+    idx = (j * (r % q) + norm_squared(ctx, mm) * inv4 % q * ctx.inv_table[1:]) % q
     terms = ctx.char_table[idx]
     if s % 2 == 1:
         terms = terms * ctx.eta_table[1:]

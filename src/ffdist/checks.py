@@ -18,13 +18,17 @@ log means natural logarithm throughout, so measured constants are
 comparable across runs.  Hypothesis-failing inputs are reported with
 hypothesis_met=False, never raised, so sweeps can traverse mixed
 ensembles.
+
+The pair checkers of one (ctx, E, F) cell share one Instance, which computes
+each spectrum, profile and nu at most once.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -63,15 +67,7 @@ class LemmaReport:
     notes: str = ""
 
     def to_json_dict(self) -> dict:
-        return {
-            "lemma_id": self.lemma_id,
-            "hypothesis_met": self.hypothesis_met,
-            "lhs": self.lhs,
-            "rhs_terms": dict(self.rhs_terms),
-            "explicit_pass": self.explicit_pass,
-            "measured_constant": self.measured_constant,
-            "notes": self.notes,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), allow_nan=False, sort_keys=False)
@@ -96,11 +92,42 @@ class DyadicDecomposition:
     product_sum: float     # sum over r != 0 of sigma_E(r) sigma_F(r)
 
 
+class Instance:
+    """One (ctx, E, F) cell; each quantity is computed on first use, once."""
+
+    def __init__(self, ctx: FieldContext, E: PointSet, F: PointSet):
+        self.ctx, self.E, self.F = ctx, E, F
+
+    ehat = cached_property(lambda self: set_spectrum(self.ctx, self.E))
+    fhat = cached_property(lambda self: set_spectrum(self.ctx, self.F))
+    sig_e = cached_property(lambda self: spherical_profile(self.ctx, self.E, spectrum=self.ehat))
+    sig_f = cached_property(lambda self: spherical_profile(self.ctx, self.F, spectrum=self.fhat))
+    sig_ef = cached_property(lambda self: cross_profile(self.ctx, self.E, self.F,
+                                                        spectra=(self.ehat, self.fhat)))
+    brute = cached_property(lambda self: nu_brute(self.E, self.F))
+    spectral = cached_property(lambda self: nu_spectral(self.ctx, self.E, self.F,
+                                                        spectra=(self.ehat, self.fhat)))
+
+
+_last: Optional[Instance] = None
+
+
+def instance(ctx: FieldContext, E: PointSet, F: PointSet) -> Instance:
+    """The Instance of (ctx, E, F); the previous one when all three are the same objects."""
+    global _last
+    if _last is None or _last.ctx is not ctx or _last.E is not E or _last.F is not F:
+        _last = Instance(ctx, E, F)
+    return _last
+
+
 def check_profile_mass(ctx: FieldContext, E: PointSet) -> LemmaReport:
     """Total spherical mass: sum_r sigma_E(r) = q^(-s) #E (Plancherel)."""
-    prof = spherical_profile(ctx, E)
+    return _profile_mass(E, spherical_profile(ctx, E))
+
+
+def _profile_mass(E: PointSet, prof: SphericalProfile) -> LemmaReport:
     lhs = float(prof.values.sum())
-    rhs = E.size / ctx.q ** E.s
+    rhs = E.size / E.q ** E.s
     gap = abs(lhs - rhs)
     return LemmaReport(
         lemma_id="profile_mass",
@@ -114,9 +141,8 @@ def check_profile_mass(ctx: FieldContext, E: PointSet) -> LemmaReport:
 
 def check_nu_spectral(ctx: FieldContext, E: PointSet, F: PointSet) -> LemmaReport:
     """Spectral route for nu(j) reproduces the pair-count oracle exactly."""
-    brute = nu_brute(E, F)
-    spec = nu_spectral(ctx, E, F)
-    diff = int(np.max(np.abs(brute.nu - spec.nu)))
+    inst = instance(ctx, E, F)
+    diff = int(np.max(np.abs(inst.brute.nu - inst.spectral.nu)))
     return LemmaReport(
         lemma_id="nu_spectral",
         hypothesis_met=True,
@@ -138,18 +164,14 @@ def check_nu_zero_bound(ctx: FieldContext, E: PointSet, F: PointSet) -> LemmaRep
     mass = E.size * F.size
     hyp = s >= 2 and mass >= 900 * q ** s
 
-    Ehat = set_spectrum(ctx, E)
-    Fhat = set_spectrum(ctx, F)
-    A = (np.conj(Ehat.values) * Fhat.values).ravel()
+    inst = instance(ctx, E, F)
     _, by_class = charsums.sphere_class_values(ctx, s, 0)
-    ng = norm_grid(ctx, s).ravel()
-    G = np.bincount(ng, weights=A.real, minlength=q) \
-        + 1j * np.bincount(ng, weights=A.imag, minlength=q)
-    G[0] -= A[0]  # drop the m = 0 entry
+    G = inst.sig_ef.values.copy()
+    G[0] -= np.conj(inst.ehat.values.flat[0]) * inst.fhat.values.flat[0]  # drop m = 0
     delta = q ** (2 * s) * complex(np.dot(by_class, G))
     delta_cap = q ** (s / 2) * math.sqrt(mass)
 
-    nu0 = int(nu_spectral(ctx, E, F, spectra=(Ehat, Fhat)).nu[0])
+    nu0 = int(inst.spectral.nu[0])
     nu0_cap = (21 / 30) * mass
 
     ok = abs(delta) <= delta_cap + _SLACK
@@ -171,15 +193,6 @@ def check_nu_zero_bound(ctx: FieldContext, E: PointSet, F: PointSet) -> LemmaRep
     )
 
 
-def _second_moment_pieces(ctx: FieldContext, E: PointSet, F: PointSet):
-    Ehat = set_spectrum(ctx, E)
-    Fhat = set_spectrum(ctx, F)
-    sig_e = spherical_profile(ctx, E, spectrum=Ehat)
-    sig_f = spherical_profile(ctx, F, spectrum=Fhat)
-    sig_ef = cross_profile(ctx, E, F, spectra=(Ehat, Fhat))
-    return sig_e, sig_f, sig_ef
-
-
 def check_second_moment(ctx: FieldContext, E: PointSet, F: PointSet) -> LemmaReport:
     """sum_j nu(j)^2 against its spectral expansion.
 
@@ -195,12 +208,11 @@ def check_second_moment(ctx: FieldContext, E: PointSet, F: PointSet) -> LemmaRep
     """
     q, s = E.q, E.s
     mass = E.size * F.size
-    nu = nu_brute(E, F).nu
-    lhs = float((nu.astype(np.float64) ** 2).sum())
+    inst = instance(ctx, E, F)
+    lhs = float((inst.brute.nu.astype(np.float64) ** 2).sum())
 
-    sig_e, sig_f, sig_ef = _second_moment_pieces(ctx, E, F)
-    cross_sq = np.abs(sig_ef.values) ** 2
-    prod = sig_e.values * sig_f.values
+    cross_sq = np.abs(inst.sig_ef.values) ** 2
+    prod = inst.sig_e.values * inst.sig_f.values
 
     terms = {
         "mass_sq_over_q": mass * mass / q,
@@ -248,9 +260,9 @@ def check_cross_zero(ctx: FieldContext, E: PointSet, F: PointSet) -> LemmaReport
     mass = E.size * F.size
     hyp = E.size <= F.size and mass >= 900 * q ** s
 
-    sig_ef = cross_profile(ctx, E, F)
-    nu0 = int(nu_spectral(ctx, E, F).nu[0])
-    lhs = float(np.abs(sig_ef.values[0]) ** 2)
+    inst = instance(ctx, E, F)
+    nu0 = int(inst.spectral.nu[0])
+    lhs = float(np.abs(inst.sig_ef.values[0]) ** 2)
     main = q ** (-3 * s) * float(nu0) ** 2
     measured = abs(lhs - main) * q ** (3 * s + 1) / (mass * mass)
     return LemmaReport(
@@ -271,12 +283,11 @@ def check_profile_product(ctx: FieldContext, E: PointSet, F: PointSet) -> LemmaR
     For odd s the r = 0 term can be included; for s = 2 the alternative
     envelope log q * q^(-5) (#E)^(3/2) #F is also measured.
     """
+    inst = instance(ctx, E, F)
+    prod = inst.sig_e.values * inst.sig_f.values  # symmetric in E and F
     if E.size > F.size:
         E, F = F, E
     q, s = E.q, E.s
-    sig_e = spherical_profile(ctx, E)
-    sig_f = spherical_profile(ctx, F)
-    prod = sig_e.values * sig_f.values
     lhs = float(prod[1:].sum())
     env = math.log(q) * (q ** (-2 * s - 1) * E.size * F.size
                          + q ** (-(5 * s + 1) / 2) * E.size ** 2 * F.size)
@@ -306,8 +317,12 @@ def check_sigma_bound(ctx: FieldContext, E: PointSet) -> LemmaReport:
     |Shat_r(m)| <= 2 q^(-(s+1)/2) into the expansion
     sigma_E(r) = q^(-s) sum_{x,y in E} Shat_r(y - x).
     """
+    return _sigma_bound(E, spherical_profile(ctx, E))
+
+
+def _sigma_bound(E: PointSet, prof: SphericalProfile) -> LemmaReport:
     q, s = E.q, E.s
-    sig = spherical_profile(ctx, E).values
+    sig = prof.values
     checked = sig if s % 2 == 1 else sig[1:]
     bound = 2 * q ** (-s - 1) * E.size + 2 * q ** (-(3 * s + 1) / 2) * E.size ** 2
     worst = float(checked.max())
@@ -403,10 +418,7 @@ def dyadic_decompose(profile: SphericalProfile,
     i_min = math.ceil(-4 * s * math.log2(q))
     floor = q ** (-4.0 * s)
 
-    levels: list[tuple[int, float, int]] = []
-    members: dict[int, list[int]] = {}
-    for i in range(i_min, 1):
-        members[i] = []
+    members: dict[int, list[int]] = {i: [] for i in range(i_min, 1)}
     for r in range(1, q):
         v = float(sigma[r])
         if v <= 0.0:
@@ -416,9 +428,7 @@ def dyadic_decompose(profile: SphericalProfile,
             continue  # floor mass
         members[i].append(r)
     product_sum = float(weight[1:].sum())
-    for i in range(i_min, 1):
-        rs = members[i]
-        levels.append((i, float(sum(weight[r] for r in rs)), len(rs)))
+    levels = [(i, float(sum(weight[r] for r in rs)), len(rs)) for i, rs in members.items()]
 
     nonempty = [(t, i) for i, t, n in levels if n > 0]
     if nonempty:
@@ -441,9 +451,8 @@ def check_dyadic(ctx: FieldContext, E: PointSet, F: PointSet) -> LemmaReport:
       * sum_{r != 0} sigma_E sigma_F <= q^(1-4s) + n_levels * max_i T_i.
     """
     q, s = E.q, E.s
-    sig_e = spherical_profile(ctx, E)
-    sig_f = spherical_profile(ctx, F)
-    dec = dyadic_decompose(sig_f, sig_e)
+    inst = instance(ctx, E, F)
+    dec = dyadic_decompose(inst.sig_f, inst.sig_e)
 
     n_levels = len(dec.levels)
     max_t = max((t for _, t, _ in dec.levels), default=0.0)
@@ -451,7 +460,7 @@ def check_dyadic(ctx: FieldContext, E: PointSet, F: PointSet) -> LemmaReport:
     ok = dec.product_sum <= pigeonhole_rhs * (1 + 1e-9) + _SLACK
 
     if dec.chosen_level is not None and dec.M.size:
-        on_m = sig_f.values[dec.M]
+        on_m = inst.sig_f.values[dec.M]
         ok &= bool(np.all(on_m >= dec.A * (1 - 1e-9)))
         ok &= bool(np.all(on_m <= 2 * dec.A * (1 + 1e-9)))
         ok &= bool((on_m ** 2).sum() <= 4 * dec.M.size * dec.A ** 2 * (1 + 1e-9))
@@ -480,11 +489,11 @@ def check_distance_theorem(ctx: FieldContext, E: PointSet, F: PointSet) -> Lemma
     s = 2, against min{q, sqrt(#E) #F / (q log q)}.  Only measured
     constants are reported.
     """
+    nu = instance(ctx, E, F).spectral  # symmetric in E and F
     if E.size > F.size:
         E, F = F, E
     q, s = E.q, E.s
     hyp = E.size * F.size >= (900 + math.log(q)) * q ** s
-    nu = nu_spectral(ctx, E, F)
     support = len(distance_set(nu))
     envelope = min(float(q), F.size / (q ** ((s - 1) / 2) * math.log(q)))
     terms = {"envelope": envelope, "q": float(q)}
@@ -509,12 +518,12 @@ def check_offzero_moment(ctx: FieldContext, E: PointSet, F: PointSet) -> LemmaRe
         sum_{r != 0} nu(r)^2  vs  (#E #F)^2/q + log q * q^((s-1)/2) (#E)^2 #F,
     and for s = 2 the alternative with q (#E)^(3/2) #F.
     """
+    nu = instance(ctx, E, F).spectral.nu.astype(np.float64)  # symmetric in E and F
     if E.size > F.size:
         E, F = F, E
     q, s = E.q, E.s
     mass = E.size * F.size
     hyp = mass >= (math.log(q) + 900) * q ** s
-    nu = nu_spectral(ctx, E, F).nu.astype(np.float64)
     lhs = float((nu[1:] ** 2).sum())
     env = mass * mass / q + math.log(q) * q ** ((s - 1) / 2) * E.size ** 2 * F.size
     terms = {"envelope": env}
@@ -532,15 +541,16 @@ def check_offzero_moment(ctx: FieldContext, E: PointSet, F: PointSet) -> LemmaRe
     )
 
 
-# Uniform (ctx, E, F) -> LemmaReport entry points for sweeps and the CLI.
+# Uniform (ctx, E, F) -> LemmaReport entry points for sweeps and the CLI;
+# the pair checkers share the cell's Instance through instance().
 CHECKERS: dict[str, Callable[[FieldContext, PointSet, PointSet], LemmaReport]] = {
-    "profile_mass": lambda ctx, E, F: check_profile_mass(ctx, F),
+    "profile_mass": lambda ctx, E, F: _profile_mass(F, instance(ctx, E, F).sig_f),
     "nu_spectral": check_nu_spectral,
     "nu_zero": check_nu_zero_bound,
     "second_moment": check_second_moment,
     "cross_zero": check_cross_zero,
     "profile_product": check_profile_product,
-    "sigma_bound": lambda ctx, E, F: check_sigma_bound(ctx, E),
+    "sigma_bound": lambda ctx, E, F: _sigma_bound(E, instance(ctx, E, F).sig_e),
     "sphere_bounds": lambda ctx, E, F: check_sphere_bounds(ctx, E.s),
     "dyadic": check_dyadic,
     "distance_theorem": check_distance_theorem,
@@ -549,3 +559,6 @@ CHECKERS: dict[str, Callable[[FieldContext, PointSet, PointSet], LemmaReport]] =
 
 # Checkers that only make sense in even dimension.
 EVEN_S_ONLY = {"cross_zero"}
+
+# Checkers whose report depends on (q, s) alone, not on E or F.
+PER_FIELD = {"sphere_bounds"}

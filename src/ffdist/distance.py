@@ -49,6 +49,7 @@ from .spectral import (
 )
 
 DEFAULT_PAIR_CAP = 10 ** 9
+DEFAULT_RESIDUAL_TOL = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,13 +76,18 @@ def make_point_set(q: int, s: int, points: Iterable[Sequence[int]]) -> PointSet:
         raise ValueError("a point set must contain at least one point")
     if pts.ndim != 2 or pts.shape[1] != s:
         raise ValueError(f"points must be {s}-tuples")
-    pts = pts % q
+    return sorted_point_set(q, s, pts % q)
+
+
+def sorted_point_set(q: int, s: int, pts: np.ndarray) -> PointSet:
+    """Radix-sort rows with coordinates in [0, q) into a PointSet; repeats raise DuplicatePoint."""
     idx = np.ravel_multi_index(pts.T, (q,) * s)
     order = np.argsort(idx, kind="stable")
-    idx = idx[order]
-    if np.any(idx[1:] == idx[:-1]):
-        dup = pts[order][np.flatnonzero(idx[1:] == idx[:-1])[0] + 1]
-        raise DuplicatePoint(f"point {tuple(int(c) for c in dup)} appears twice")
+    repeats = np.flatnonzero(np.diff(idx[order]) == 0)
+    if repeats.size:
+        row = int(order[repeats[0] + 1])
+        raise DuplicatePoint(
+            f"point {tuple(int(c) for c in pts[row])} appears twice", row=row)
     return PointSet(q=q, s=s, points=pts[order])
 
 
@@ -93,6 +99,7 @@ class DistanceDistribution:
     nu: np.ndarray  # int64, length q, nonnegative
     sizeE: int
     sizeF: int
+    residual: float = 0.0  # max distance of the counts from integers before rounding
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,7 +157,7 @@ def nu_brute(E: PointSet, F: PointSet,
 
 def nu_spectral(ctx: FieldContext, E: PointSet, F: PointSet,
                 grid_cap: int = DEFAULT_GRID_CAP,
-                residual_tol: float = 1e-6,
+                residual_tol: float = DEFAULT_RESIDUAL_TOL,
                 spectra: tuple[Spectrum, Spectrum] | None = None,
                 ) -> DistanceDistribution:
     """All q counts nu(j) from the identity
@@ -169,17 +176,10 @@ def nu_spectral(ctx: FieldContext, E: PointSet, F: PointSet,
     check_grid_cap(E.q, E.s, grid_cap)
     q, s = E.q, E.s
     if spectra is None:
-        Ehat = set_spectrum(ctx, E, grid_cap)
-        Fhat = set_spectrum(ctx, F, grid_cap)
-    else:
-        Ehat, Fhat = spectra
-    A = np.conj(Ehat.values) * Fhat.values
-    ng = norm_grid(ctx, s).ravel()
-    flat = A.ravel()
-    G = np.bincount(ng, weights=flat.real, minlength=q) \
-        + 1j * np.bincount(ng, weights=flat.imag, minlength=q)
-    A0 = complex(flat[0])  # m = 0 sits at radix index 0 in the w = 0 bucket
-    G_star = G.copy()
+        spectra = (set_spectrum(ctx, E, grid_cap), set_spectrum(ctx, F, grid_cap))
+    G_star = cross_profile(ctx, E, F, spectra=spectra).values
+    # m = 0 sits at radix index 0 in the w = 0 bucket.
+    A0 = complex(np.conj(spectra[0].values.flat[0]) * spectra[1].values.flat[0])
     G_star[0] -= A0
 
     # H[k] = sum_w G_star[w] e(w * inv(4) * inv(k) / q), k in F_q^*.
@@ -204,7 +204,7 @@ def nu_spectral(ctx: FieldContext, E: PointSet, F: PointSet,
             f"(tolerance {residual_tol:.1e}); reduce q**s"
         )
     return DistanceDistribution(q=q, nu=rounded.astype(np.int64),
-                                sizeE=E.size, sizeF=F.size)
+                                sizeE=E.size, sizeF=F.size, residual=residual)
 
 
 def distance_set(dist: DistanceDistribution) -> set[int]:

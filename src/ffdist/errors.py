@@ -81,7 +81,11 @@ class ParseError(FFDistError):
 
 
 class DuplicatePoint(FFDistError):
-    """A point appears twice in a set."""
+    """A point appears twice in a set; row is its second input row."""
+
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message)
+        self.row = row
 
 
 class CoordinateOutOfRange(FFDistError):

@@ -12,7 +12,7 @@ yields bit-identical complex values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -39,6 +39,14 @@ class FieldContext:
 
     def __repr__(self) -> str:  # keep reprs short; tables are big
         return f"FieldContext(q={self.q})"
+
+    # The tables are a function of q alone, so caches keyed on a context
+    # hold one entry per q however many contexts are built.
+    def __eq__(self, other) -> bool:
+        return isinstance(other, FieldContext) and other.q == self.q
+
+    def __hash__(self) -> int:
+        return hash(self.q)
 
 
 def _is_prime(n: int) -> bool:
@@ -141,6 +149,11 @@ def sqrt_mod(ctx: FieldContext, a: int) -> Optional[int]:
             t = (t * c) % q
             m = i
     return min(r, q - r)
+
+
+def norm_squared(ctx: FieldContext, x: Sequence[int]) -> int:
+    """|x|^2 = sum of squared coordinates, reduced mod q."""
+    return int(sum(int(c) * int(c) for c in x) % ctx.q)
 
 
 def additive_character(ctx: FieldContext, j: int) -> complex:

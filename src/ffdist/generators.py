@@ -12,7 +12,7 @@ from typing import Any, Optional
 
 import numpy as np
 
-from .distance import PointSet
+from .distance import PointSet, sorted_point_set
 from .errors import BadGenerator, FieldMismatch, SizeTooLarge
 from .field import FieldContext, sqrt_mod
 from .spectral import enumerate_sphere
@@ -40,11 +40,6 @@ def _decode(flat: np.ndarray, q: int, s: int) -> np.ndarray:
     return np.stack(np.unravel_index(flat, (q,) * s), axis=1).astype(np.int64)
 
 
-def _sorted_set(q: int, s: int, pts: np.ndarray) -> PointSet:
-    idx = np.ravel_multi_index(pts.T, (q,) * s)
-    return PointSet(q=q, s=s, points=pts[np.argsort(idx, kind="stable")])
-
-
 def generate(ctx: FieldContext, s: int, spec: GeneratorSpec) -> PointSet:
     """Materialize a point set in F_q^s from a generator spec."""
     q = ctx.q
@@ -55,7 +50,7 @@ def generate(ctx: FieldContext, s: int, spec: GeneratorSpec) -> PointSet:
             raise SizeTooLarge(f"size {spec.size} exceeds q**s = {q ** s}")
         rng = np.random.Generator(np.random.Philox(key=spec.seed))
         flat = rng.choice(q ** s, size=spec.size, replace=False)
-        return _sorted_set(q, s, _decode(flat, q, s))
+        return sorted_point_set(q, s, _decode(flat, q, s))
 
     if spec.kind == "isotropic_line":
         if s != 2:
@@ -65,7 +60,7 @@ def generate(ctx: FieldContext, s: int, spec: GeneratorSpec) -> PointSet:
         i = sqrt_mod(ctx, q - 1)
         assert i is not None
         x = np.arange(q, dtype=np.int64)
-        return _sorted_set(q, s, np.stack([x, (i * x) % q], axis=1))
+        return sorted_point_set(q, s, np.stack([x, (i * x) % q], axis=1))
 
     if spec.kind == "sphere_set":
         r = int(spec.params.get("radius", 1))
@@ -81,7 +76,7 @@ def generate(ctx: FieldContext, s: int, spec: GeneratorSpec) -> PointSet:
             rng = np.random.Generator(np.random.Philox(key=spec.seed))
             pick = rng.choice(sphere.count, size=spec.size, replace=False)
             pts = pts[np.sort(pick)]
-        return _sorted_set(q, s, pts.copy())
+        return sorted_point_set(q, s, pts.copy())
 
     if spec.kind == "subspace":
         k = int(spec.params.get("dim", 1))
@@ -90,7 +85,7 @@ def generate(ctx: FieldContext, s: int, spec: GeneratorSpec) -> PointSet:
         flat = np.arange(q ** k, dtype=np.int64)
         pts = np.zeros((q ** k, s), dtype=np.int64)
         pts[:, :k] = _decode(flat, q, k)
-        return _sorted_set(q, s, pts)
+        return sorted_point_set(q, s, pts)
 
     if spec.kind == "product_interval":
         lengths = [int(v) for v in spec.params.get("lengths", [])]
@@ -101,7 +96,7 @@ def generate(ctx: FieldContext, s: int, spec: GeneratorSpec) -> PointSet:
         grids = np.meshgrid(*[np.arange(v, dtype=np.int64) for v in lengths],
                             indexing="ij")
         pts = np.stack([g.ravel() for g in grids], axis=1)
-        return _sorted_set(q, s, pts)
+        return sorted_point_set(q, s, pts)
 
     if spec.kind == "from_file":
         path = spec.params.get("path")

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .distance import PointSet
+from .distance import PointSet, sorted_point_set
 from .errors import CoordinateOutOfRange, DuplicatePoint, ParseError
 
 
@@ -51,12 +51,10 @@ def read_pointset(path) -> PointSet:
     if tail:
         raise ParseError(f"{path}:{n + 2}: trailing content after {n} points")
 
-    idx = np.ravel_multi_index(pts.T, (q,) * s)
-    order = np.argsort(idx, kind="stable")
-    if np.any(idx[order][1:] == idx[order][:-1]):
-        where = int(order[np.flatnonzero(idx[order][1:] == idx[order][:-1])[0] + 1]) + 2
-        raise DuplicatePoint(f"{path}:{where}: duplicate point")
-    return PointSet(q=q, s=s, points=pts[order])
+    try:
+        return sorted_point_set(q, s, pts)
+    except DuplicatePoint as exc:
+        raise DuplicatePoint(f"{path}:{exc.row + 2}: duplicate point") from None
 
 
 def write_pointset(E: PointSet, path) -> None:

@@ -16,13 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
-
 import numpy as np
 
 from . import charsums
 from .errors import CapExceeded
-from .field import FieldContext
+from .field import FieldContext, norm_squared  # noqa: F401  (re-exported)
 
 # Grid cap: q**s complex entries (~4M keeps every exhaustive check fast).
 DEFAULT_GRID_CAP = 2 ** 22
@@ -65,11 +63,6 @@ class Sphere:
 def check_grid_cap(q: int, s: int, grid_cap: int = DEFAULT_GRID_CAP) -> None:
     if q ** s > grid_cap:
         raise CapExceeded(f"q**s = {q}**{s} = {q ** s} exceeds grid cap {grid_cap}")
-
-
-def norm_squared(ctx: FieldContext, x: Sequence[int]) -> int:
-    """|x|^2 = sum of squared coordinates, reduced mod q."""
-    return int(sum(int(c) * int(c) for c in x) % ctx.q)
 
 
 @lru_cache(maxsize=64)

@@ -6,6 +6,8 @@ and emits one row per (checker, cell).  Identical configurations give
 byte-identical output: per-trial seeds are stable 64-bit hashes of
 (master seed, q, s, trial, "E"/"F"), floats render with 17 significant
 digits and '.' decimal, and rows are buffered in deterministic order.
+Checkers in PER_FIELD run once per (q, s) and their report is repeated
+on every cell of that field.
 """
 
 from __future__ import annotations
@@ -20,10 +22,10 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .checks import CHECKERS, EVEN_S_ONLY, LemmaReport
-from .distance import DEFAULT_PAIR_CAP, nu_brute, nu_spectral
+from .checks import CHECKERS, EVEN_S_ONLY, PER_FIELD, LemmaReport
+from .distance import DEFAULT_PAIR_CAP, DEFAULT_RESIDUAL_TOL, nu_brute, nu_spectral
 from .errors import FFDistError, PairCapExceeded
-from .field import FieldContext, make_field
+from .field import make_field
 from .generators import GeneratorSpec, generate
 from .spectral import DEFAULT_GRID_CAP, check_grid_cap
 
@@ -107,12 +109,10 @@ def validate_config(cfg: SweepConfig) -> None:
 def iter_sweep(cfg: SweepConfig) -> Iterator[SweepRow]:
     """Run the sweep in deterministic configuration order."""
     validate_config(cfg)
-    contexts: dict[int, FieldContext] = {}
     for q in cfg.q_list:
-        contexts[q] = make_field(q)
-    for q in cfg.q_list:
-        ctx = contexts[q]
+        ctx = make_field(q)
         for s in cfg.s_list:
+            per_field: dict[str, LemmaReport] = {}
             for ne, nf in cfg.size_pairs:
                 for trial in range(cfg.trials):
                     E = generate(ctx, s, GeneratorSpec(
@@ -122,7 +122,9 @@ def iter_sweep(cfg: SweepConfig) -> Iterator[SweepRow]:
                         "uniform_random", size=nf,
                         seed=trial_seed(cfg.seed, q, s, trial, "F")))
                     for name in cfg.checkers:
-                        report = CHECKERS[name](ctx, E, F)
+                        report = per_field.get(name) or CHECKERS[name](ctx, E, F)
+                        if name in PER_FIELD:
+                            per_field[name] = report
                         yield SweepRow(lemma_id=report.lemma_id, q=q, s=s,
                                        sizeE=ne, sizeF=nf, trial=trial,
                                        seed=cfg.seed, report=report)
@@ -166,7 +168,8 @@ def run_sweep(cfg: SweepConfig) -> tuple[list[SweepRow], bool]:
 def run_bench(q: int, s: int, sizeE: int, sizeF: int, repetitions: int = 5,
               seed: int = 0, grid_cap: int = DEFAULT_GRID_CAP,
               pair_cap: int = DEFAULT_PAIR_CAP) -> dict:
-    """Median wall times of the brute and spectral nu paths.
+    """Median wall times of the brute and spectral nu paths, plus the
+    spectral rounding residual and the tolerance it is gated at.
 
     When the pair count is over cap the brute path is skipped and the
     spectral result is self-checked against the mass identity
@@ -191,6 +194,8 @@ def run_bench(q: int, s: int, sizeE: int, sizeF: int, repetitions: int = 5,
         "q": q, "s": s, "sizeE": sizeE, "sizeF": sizeF,
         "repetitions": repetitions,
         "t_spectral": statistics.median(t_spectral),
+        "residual": spectral.residual,
+        "residual_tol": DEFAULT_RESIDUAL_TOL,
     }
     try:
         t_brute = []

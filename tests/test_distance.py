@@ -33,7 +33,7 @@ def full_grid_set(q, s):
 
 class TestPointSet:
     def test_duplicates_rejected(self):
-        with pytest.raises(DuplicatePoint):
+        with pytest.raises(DuplicatePoint, match=r"point \(0, 0\) appears twice"):
             make_point_set(3, 2, [(0, 0), (3, 3)])  # (3,3) reduces to (0,0)
 
     def test_coordinates_reduced_and_sorted(self):
@@ -131,6 +131,11 @@ class TestNuSpectral:
         pre = (set_spectrum(ctx, E), set_spectrum(ctx, F))
         assert np.array_equal(nu_spectral(ctx, E, F, spectra=pre).nu,
                               nu_spectral(ctx, E, F).nu)
+
+    def test_residual_is_exposed(self, contexts):
+        E, F = random_set(13, 2, 25, 5), random_set(13, 2, 30, 6)
+        assert 0.0 <= nu_spectral(contexts[13], E, F).residual <= 1e-6
+        assert nu_brute(E, F).residual == 0.0
 
     def test_drift_gate_trips_on_absurd_tolerance(self, contexts):
         from ffdist.errors import RoundingDrift

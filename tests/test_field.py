@@ -56,6 +56,12 @@ class TestMakeField:
         assert ctx.eta_table[1:].tolist() == [euler_eta(a, 5) for a in range(1, 5)]
         assert ctx.eta_table[1:].tolist() == [1, -1, -1, 1]
 
+    def test_contexts_compare_by_modulus(self):
+        a, b = make_field(7), make_field(7)
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a != make_field(11)
+        assert a != 7
+
     @pytest.mark.parametrize("q", PRIMES_TO_31)
     def test_tables_consistent(self, contexts, q):
         ctx = contexts[q]

@@ -139,6 +139,9 @@ class TestSetIO:
         path.write_text("5 2 2\n1 2\n1 2\n")
         with pytest.raises(DuplicatePoint):
             read_pointset(path)
+        path.write_text("5 2 3\n1 2\n0 4\n1 2\n")
+        with pytest.raises(DuplicatePoint, match=r"dup\.txt:4: duplicate point"):
+            read_pointset(path)
 
     def test_parse_errors_carry_line(self, tmp_path):
         path = tmp_path / "short.txt"
@@ -252,6 +255,10 @@ class TestBench:
         assert rep["mass_identity_ok"]
         assert rep["speedup"] is None
 
+    def test_residual_reported(self):
+        rep = run_bench(13, 2, 30, 30, repetitions=1, seed=1)
+        assert 0.0 <= rep["residual"] <= rep["residual_tol"]
+
     def test_bad_repetitions(self):
         with pytest.raises(ConfigError):
             run_bench(13, 2, 4, 4, repetitions=0)
@@ -280,6 +287,19 @@ class TestCLI:
         for line in lines:
             rep = json.loads(line)
             assert rep["explicit_pass"] is True
+
+    def test_verify_default_lemmas_at_odd_s(self):
+        from ffdist.checks import CHECKERS, EVEN_S_ONLY
+        args = ("verify", "--q", "7", "--s", "3", "--sizeE", "10", "--sizeF", "12",
+                "--seed", "3")
+        for extra in ((), ("--lemma", "all")):
+            proc = cli(*args, *extra)
+            assert proc.returncode == 0, proc.stderr
+            ids = [json.loads(l)["lemma_id"] for l in proc.stdout.splitlines() if l.strip()]
+            assert sorted(ids) == sorted(set(CHECKERS) - EVEN_S_ONLY)
+        proc = cli(*args, "--lemma", "cross_zero")
+        assert proc.returncode == 2
+        assert "even s" in proc.stderr
 
     def test_verify_csv_format(self):
         proc = cli("verify", "--q", "5", "--s", "2", "--sizeE", "4", "--sizeF", "4",

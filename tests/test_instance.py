@@ -1,0 +1,155 @@
+"""The shared per-cell Instance and the per-field reuse in sweeps.
+
+The checkers of one (ctx, E, F) cell read their spectra, profiles and
+nu from one Instance; these tests pin both halves of that contract: the
+work is done once per cell, and every report is the same as a direct
+checker call on fresh copies of the sets.
+"""
+
+import pytest
+
+from ffdist import checks, distance
+from ffdist.checks import (
+    CHECKERS,
+    EVEN_S_ONLY,
+    check_cross_zero,
+    check_distance_theorem,
+    check_dyadic,
+    check_nu_spectral,
+    check_nu_zero_bound,
+    check_offzero_moment,
+    check_profile_mass,
+    check_profile_product,
+    check_second_moment,
+    check_sigma_bound,
+    check_sphere_bounds,
+    instance,
+)
+from ffdist.distance import PointSet
+from ffdist.field import make_field
+from ffdist.generators import GeneratorSpec, generate
+from ffdist.sweep import SweepConfig, run_verify, trial_seed
+from conftest import random_set
+
+# Each checker called on its own; with fresh copies of the sets, every
+# call computes its own spectra, profiles and nu.
+DIRECT = {
+    "profile_mass": lambda ctx, E, F: check_profile_mass(ctx, F),
+    "nu_spectral": check_nu_spectral,
+    "nu_zero": check_nu_zero_bound,
+    "second_moment": check_second_moment,
+    "cross_zero": check_cross_zero,
+    "profile_product": check_profile_product,
+    "sigma_bound": lambda ctx, E, F: check_sigma_bound(ctx, E),
+    "sphere_bounds": lambda ctx, E, F: check_sphere_bounds(ctx, E.s),
+    "dyadic": check_dyadic,
+    "distance_theorem": check_distance_theorem,
+    "offzero_moment": check_offzero_moment,
+}
+
+ODD_S_CHECKERS = sorted(set(CHECKERS) - EVEN_S_ONLY)
+
+
+def fresh(E):
+    return PointSet(q=E.q, s=E.s, points=E.points.copy())
+
+
+def cell_sets(cfg, q, s, ne, nf, trial):
+    ctx = make_field(q)
+    return tuple(generate(ctx, s, GeneratorSpec(
+        "uniform_random", size=n, seed=trial_seed(cfg.seed, q, s, trial, tag)))
+        for n, tag in ((ne, "E"), (nf, "F")))
+
+
+def counting(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestComputeOnce:
+    def test_one_oracle_pass_and_one_transform_per_set(self, monkeypatch):
+        brute = counting(monkeypatch, checks, "nu_brute")
+        spectra = counting(monkeypatch, checks, "set_spectrum")
+        # A transform taken behind the instance's back would show here.
+        monkeypatch.setattr(distance, "set_spectrum", checks.set_spectrum)
+        cfg = SweepConfig(q_list=[7], s_list=[3], size_pairs=[(20, 21)],
+                          trials=1, seed=4, checkers=ODD_S_CHECKERS)
+        rows = run_verify(cfg)
+        assert len(rows) == 10
+        assert all(r.report.explicit_pass is not False for r in rows)
+        assert len(brute) == 1
+        assert len(spectra) == 2
+
+    def test_memo_is_keyed_on_object_identity(self, contexts):
+        ctx = contexts[7]
+        E, F = random_set(7, 2, 10, 1), random_set(7, 2, 12, 2)
+        for other in ((make_field(7), E, F), (ctx, fresh(E), F), (ctx, E, fresh(F)),
+                      (ctx, F, E)):
+            inst = instance(ctx, E, F)
+            assert instance(ctx, E, F) is inst
+            assert instance(*other) is not inst
+
+    def test_direct_call_builds_its_own_instance(self, contexts):
+        ctx = contexts[13]
+        E, F = random_set(13, 2, 20, 5), random_set(13, 2, 30, 6)
+        instance(ctx, random_set(13, 2, 5, 7), F).brute  # an unrelated cell
+        rep = check_nu_spectral(ctx, E, F)
+        assert rep.explicit_pass and rep.lhs == 0.0
+        assert instance(ctx, E, F).F is F
+
+
+class TestSameReports:
+    @pytest.mark.parametrize("q,s,ne,nf", [
+        (13, 2, 30, 48),
+        (13, 2, 60, 25),   # #E > #F: the swapping checkers swap
+        (7, 3, 40, 30),
+        (5, 3, 20, 21),
+    ])
+    def test_run_verify_matches_direct_calls(self, q, s, ne, nf):
+        names = sorted(CHECKERS) if s % 2 == 0 else ODD_S_CHECKERS
+        cfg = SweepConfig(q_list=[q], s_list=[s], size_pairs=[(ne, nf)],
+                          trials=2, seed=17, checkers=names)
+        rows = run_verify(cfg)
+        assert len(rows) == 2 * len(names)
+        ctx = make_field(q)
+        for row in rows:
+            E, F = cell_sets(cfg, q, s, ne, nf, row.trial)
+            direct = DIRECT[row.lemma_id](ctx, fresh(E), fresh(F))
+            assert row.report.to_json() == direct.to_json(), row.lemma_id
+
+    def test_interleaved_cells(self, contexts):
+        ctx = contexts[13]
+        E1, F1 = random_set(13, 2, 40, 1), random_set(13, 2, 25, 2)
+        E2, F2 = random_set(13, 2, 30, 3), random_set(13, 2, 50, 4)
+        for E, F in ((E1, F1), (E2, F2), (E1, F1), (E1, F2), (E2, F2)):
+            for name in sorted(CHECKERS):
+                shared = CHECKERS[name](ctx, E, F)
+                direct = DIRECT[name](ctx, fresh(E), fresh(F))
+                assert shared.to_json() == direct.to_json(), name
+
+
+class TestPerField:
+    def test_sphere_bounds_runs_once_per_field(self, monkeypatch):
+        calls = counting(monkeypatch, checks, "sphere_spectrum")
+        cfg = SweepConfig(q_list=[5], s_list=[2], size_pairs=[(4, 6)],
+                          trials=2, seed=1, checkers=["sphere_bounds"])
+        rows = run_verify(cfg)
+        assert len(rows) == 2
+        assert len(calls) == 5  # q transforms, not 2q
+        assert rows[0].report.to_json() == rows[1].report.to_json()
+        run_verify(cfg)
+        assert len(calls) == 10  # nothing is kept across calls
+
+    def test_each_field_gets_its_own_report(self):
+        cfg = SweepConfig(q_list=[3, 5], s_list=[2, 3], size_pairs=[(2, 3), (3, 2)],
+                          trials=1, seed=1, checkers=["sphere_bounds"])
+        for row in run_verify(cfg):
+            direct = check_sphere_bounds(make_field(row.q), row.s)
+            assert row.report.to_json() == direct.to_json()

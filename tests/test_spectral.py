@@ -47,6 +47,11 @@ class TestNormSquared:
         assert norm_squared(contexts[3], (0, 0)) == 0
         assert norm_squared(contexts[7], (2, 3, 1)) == 0
 
+    def test_one_function_for_every_module(self):
+        from ffdist import charsums, field, spectral
+        assert spectral.norm_squared is field.norm_squared
+        assert charsums.norm_squared is field.norm_squared
+
 
 class TestForwardTransform:
     def test_point_mass_is_flat(self, contexts):
@@ -209,3 +214,15 @@ class TestDeterminism:
         a = forward_transform(make_field(13), f).values
         b = forward_transform(make_field(13), f).values
         assert a.tobytes() == b.tobytes()
+
+    def test_repeated_make_field_does_not_grow_the_caches(self):
+        from ffdist import spectral
+        from ffdist.distance import nu_spectral
+        from conftest import random_set
+        spectral._dft_matrices.cache_clear()
+        spectral.norm_grid.cache_clear()
+        E, F = random_set(31, 2, 40, 1), random_set(31, 2, 50, 2)
+        for _ in range(20):
+            nu_spectral(make_field(31), E, F)
+        assert spectral._dft_matrices.cache_info().currsize == 1
+        assert spectral.norm_grid.cache_info().currsize == 1
