@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .checks import CHECKERS, EVEN_S_ONLY
+from .checks import CHECKERS
 from .distance import DEFAULT_PAIR_CAP
 from .errors import CapError, FFDistError
 from .field import make_field
@@ -78,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--lemma", action="append", default=None,
                    help=f"checker name or comma list; one of {', '.join(sorted(CHECKERS))}; "
-                        "default all (at odd s, all but the even-s ones)")
+                        "default all")
     v.add_argument("--format", choices=("csv", "json"), default="json")
     v.add_argument("--out", type=str, default=None, help="default stdout")
     _add_caps(v)
@@ -136,14 +136,11 @@ def _emit(lines: list[str], out: str | None) -> None:
 
 
 def _cmd_verify(args) -> int:
-    checkers = parse_checkers(args.lemma)
-    if args.s % 2 == 1 and args.lemma in (None, ["all"]):
-        checkers = [c for c in checkers if c not in EVEN_S_ONLY]
     cfg = SweepConfig(
         q_list=[args.q], s_list=[args.s],
         size_pairs=[(args.sizeE, args.sizeF)],
         trials=args.trials, seed=args.seed,
-        checkers=checkers,
+        checkers=parse_checkers(args.lemma),
         grid_cap=args.cap_grid, pair_cap=args.cap_pairs,
     )
     rows, all_ok = run_sweep(cfg)

@@ -62,10 +62,6 @@ class EmptyOffzeroSupport(FFDistError):
     """All off-zero counts vanish; support bound undefined."""
 
 
-class OddDimension(FFDistError):
-    """A checker restricted to even s received odd s."""
-
-
 # --- generators and file I/O ------------------------------------------------
 
 class BadGenerator(FFDistError):

@@ -22,10 +22,10 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .checks import CHECKERS, EVEN_S_ONLY, PER_FIELD, LemmaReport
+from .checks import CHECKERS, PER_FIELD, LemmaReport, instance
 from .distance import DEFAULT_PAIR_CAP, DEFAULT_RESIDUAL_TOL, nu_brute, nu_spectral
 from .errors import FFDistError, PairCapExceeded
-from .field import make_field
+from .field import FieldContext, make_field
 from .generators import GeneratorSpec, generate
 from .spectral import DEFAULT_GRID_CAP, check_grid_cap
 
@@ -68,7 +68,8 @@ def trial_seed(master: int, q: int, s: int, trial: int, tag: str) -> int:
     return int.from_bytes(hashlib.blake2b(text, digest_size=8).digest(), "big")
 
 
-def validate_config(cfg: SweepConfig) -> None:
+def validate_config(cfg: SweepConfig) -> dict[int, FieldContext]:
+    """Raise ConfigError (or CapExceeded) on a bad config; else the contexts by q."""
     if cfg.trials < 1:
         raise ConfigError("trials must be >= 1")
     if not cfg.q_list or not cfg.s_list or not cfg.size_pairs:
@@ -78,20 +79,15 @@ def validate_config(cfg: SweepConfig) -> None:
             raise ConfigError(
                 f"unknown checker {name!r}; known: {', '.join(sorted(CHECKERS))}"
             )
+    contexts = {}
     for q in cfg.q_list:
         try:
-            make_field(q)
+            contexts[q] = make_field(q)
         except FFDistError as exc:
             raise ConfigError(f"q_list entry {q}: {exc}") from None
     for s in cfg.s_list:
         if s < 1:
             raise ConfigError(f"s_list entry {s}: dimension must be >= 1")
-        if s % 2 == 1:
-            bad = EVEN_S_ONLY.intersection(cfg.checkers)
-            if bad:
-                raise ConfigError(
-                    f"checker(s) {sorted(bad)} need even s, got s = {s}"
-                )
         for q in cfg.q_list:
             check_grid_cap(q, s, cfg.grid_cap)
     for ne, nf in cfg.size_pairs:
@@ -104,13 +100,14 @@ def validate_config(cfg: SweepConfig) -> None:
                         f"size pair ({ne}, {nf}) exceeds q**s = {q ** s} "
                         f"at q = {q}, s = {s}"
                     )
+    return contexts
 
 
 def iter_sweep(cfg: SweepConfig) -> Iterator[SweepRow]:
     """Run the sweep in deterministic configuration order."""
-    validate_config(cfg)
+    contexts = validate_config(cfg)
     for q in cfg.q_list:
-        ctx = make_field(q)
+        ctx = contexts[q]
         for s in cfg.s_list:
             per_field: dict[str, LemmaReport] = {}
             for ne, nf in cfg.size_pairs:
@@ -121,6 +118,7 @@ def iter_sweep(cfg: SweepConfig) -> Iterator[SweepRow]:
                     F = generate(ctx, s, GeneratorSpec(
                         "uniform_random", size=nf,
                         seed=trial_seed(cfg.seed, q, s, trial, "F")))
+                    instance(ctx, E, F).pair_cap = cfg.pair_cap
                     for name in cfg.checkers:
                         report = per_field.get(name) or CHECKERS[name](ctx, E, F)
                         if name in PER_FIELD:

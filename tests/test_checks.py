@@ -7,7 +7,6 @@ import pytest
 from ffdist import make_point_set, spherical_profile
 from ffdist.checks import (
     CHECKERS,
-    EVEN_S_ONLY,
     check_cross_zero,
     check_distance_theorem,
     check_dyadic,
@@ -22,7 +21,6 @@ from ffdist.checks import (
     dyadic_decompose,
 )
 from ffdist.distance import SphericalProfile
-from ffdist.errors import OddDimension
 from conftest import random_set
 from test_distance import full_grid_set
 
@@ -103,10 +101,16 @@ class TestSecondMoment:
 
 
 class TestCrossZero:
-    def test_odd_dimension_rejected(self, contexts):
+    def test_odd_dimension_reported(self, contexts):
         E = random_set(5, 3, 6, 0)
-        with pytest.raises(OddDimension):
-            check_cross_zero(contexts[5], E, E)
+        rep = check_cross_zero(contexts[5], E, E)
+        assert not rep.hypothesis_met
+        assert rep.explicit_pass is None
+        assert set(rep.rhs_terms) == {"main_term", "error_scale"}
+        assert math.isfinite(rep.lhs) and math.isfinite(rep.measured_constant)
+        # #E = #F and #E #F >= 900 q^s hold here; odd s alone fails it
+        E = full_grid_set(11, 3)
+        assert not check_cross_zero(contexts[11], E, E).hypothesis_met
 
     def test_full_grid_q31_hypothesis(self, contexts):
         E = full_grid_set(31, 2)
@@ -259,13 +263,17 @@ class TestOffzeroMoment:
 
 
 class TestRegistry:
-    def test_known_names(self):
+    def test_known_names(self, contexts):
         assert set(CHECKERS) == {
             "profile_mass", "nu_spectral", "nu_zero", "second_moment",
             "cross_zero", "profile_product", "sigma_bound", "sphere_bounds",
             "dyadic", "distance_theorem", "offzero_moment",
         }
-        assert EVEN_S_ONLY == {"cross_zero"}
+        # every checker reports at odd s; cross_zero's hypothesis fails there
+        E, F = random_set(5, 3, 4, 0), random_set(5, 3, 6, 1)
+        reports = {name: fn(contexts[5], E, F) for name, fn in CHECKERS.items()}
+        assert all(rep.lemma_id == name for name, rep in reports.items())
+        assert not reports["cross_zero"].hypothesis_met
 
     def test_uniform_signature(self, contexts):
         E = random_set(5, 2, 4, 0)

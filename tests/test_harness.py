@@ -1,10 +1,15 @@
+import csv
 import json
+import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ffdist
 from ffdist import make_point_set
 from ffdist.errors import (
     BadGenerator,
@@ -29,9 +34,15 @@ from ffdist.sweep import (
 )
 
 
-def cli(*args):
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def cli(*args, cwd=None):
+    # The package's own directory goes on the path so that any cwd works.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(ffdist.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
     return subprocess.run([sys.executable, "-m", "ffdist", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, cwd=cwd, env=env)
 
 
 class TestGenerators:
@@ -196,9 +207,10 @@ class TestSweep:
         with pytest.raises(ConfigError, match="unknown checker"):
             run_verify(SweepConfig(q_list=[3], s_list=[2], size_pairs=[(2, 3)],
                                    trials=1, seed=0, checkers=["nope"]))
-        with pytest.raises(ConfigError, match="even s"):
-            run_verify(SweepConfig(q_list=[5], s_list=[3], size_pairs=[(2, 3)],
-                                   trials=1, seed=0, checkers=["cross_zero"]))
+        # even s is cross_zero's hypothesis, not a config rule
+        [row] = run_verify(SweepConfig(q_list=[5], s_list=[3], size_pairs=[(2, 3)],
+                                       trials=1, seed=0, checkers=["cross_zero"]))
+        assert row.report.hypothesis_met is False
         with pytest.raises(ConfigError, match="trials"):
             run_verify(SweepConfig(q_list=[3], s_list=[2], size_pairs=[(2, 3)],
                                    trials=0, seed=0, checkers=["profile_mass"]))
@@ -289,17 +301,50 @@ class TestCLI:
             assert rep["explicit_pass"] is True
 
     def test_verify_default_lemmas_at_odd_s(self):
-        from ffdist.checks import CHECKERS, EVEN_S_ONLY
+        from ffdist.checks import CHECKERS
         args = ("verify", "--q", "7", "--s", "3", "--sizeE", "10", "--sizeF", "12",
                 "--seed", "3")
         for extra in ((), ("--lemma", "all")):
             proc = cli(*args, *extra)
             assert proc.returncode == 0, proc.stderr
             ids = [json.loads(l)["lemma_id"] for l in proc.stdout.splitlines() if l.strip()]
-            assert sorted(ids) == sorted(set(CHECKERS) - EVEN_S_ONLY)
+            assert sorted(ids) == sorted(CHECKERS)
         proc = cli(*args, "--lemma", "cross_zero")
-        assert proc.returncode == 2
-        assert "even s" in proc.stderr
+        assert proc.returncode == 0, proc.stderr
+        rep = json.loads(proc.stdout)
+        assert rep["lemma_id"] == "cross_zero" and rep["hypothesis_met"] is False
+
+    def test_sweep_over_even_and_odd_s(self, tmp_path):
+        out = tmp_path / "x.csv"
+        proc = cli("sweep", "--q", "5,7", "--s", "2,3", "--sizes", "4x6,20x20",
+                   "--trials", "2", "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 2 * 2 * 2 * 2 * 11  # q * s * sizes * trials * checkers
+        odd = [r for r in rows if r["lemma_id"] == "cross_zero" and r["s"] == "3"]
+        assert len(odd) == 8
+        assert all(r["hypothesis_met"] == "false" and r["explicit_pass"] == ""
+                   for r in odd)
+
+    def test_cap_pairs_bounds_the_oracle(self):
+        args = ("verify", "--q", "7", "--s", "2", "--sizeE", "20", "--sizeF", "20",
+                "--cap-pairs", "10")
+        proc = cli(*args, "--lemma", "nu_spectral")
+        assert proc.returncode == 3
+        assert "pair cap 10" in proc.stderr
+        assert cli(*args, "--lemma", "profile_mass").returncode == 0
+
+    def test_readme_cli_block_runs(self, tmp_path):
+        block = README.read_text().split("## CLI", 1)[1].split("```")[1]
+        commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
+                    if line.startswith("ffdist ")]
+        assert [c[1] for c in commands] == ["gen", "verify", "sweep", "bench", "selftest"]
+        for command in commands:
+            if command[1] == "bench":  # the acceptance perf gate runs this shape
+                continue
+            proc = cli(*command[1:], cwd=tmp_path)
+            assert proc.returncode == 0, (command, proc.stderr)
 
     def test_verify_csv_format(self):
         proc = cli("verify", "--q", "5", "--s", "2", "--sizeE", "4", "--sizeF", "4",

@@ -8,10 +8,9 @@ checker call on fresh copies of the sets.
 
 import pytest
 
-from ffdist import checks, distance
+from ffdist import checks, distance, sweep
 from ffdist.checks import (
     CHECKERS,
-    EVEN_S_ONLY,
     check_cross_zero,
     check_distance_theorem,
     check_dyadic,
@@ -47,8 +46,6 @@ DIRECT = {
     "offzero_moment": check_offzero_moment,
 }
 
-ODD_S_CHECKERS = sorted(set(CHECKERS) - EVEN_S_ONLY)
-
 
 def fresh(E):
     return PointSet(q=E.q, s=E.s, points=E.points.copy())
@@ -80,9 +77,9 @@ class TestComputeOnce:
         # A transform taken behind the instance's back would show here.
         monkeypatch.setattr(distance, "set_spectrum", checks.set_spectrum)
         cfg = SweepConfig(q_list=[7], s_list=[3], size_pairs=[(20, 21)],
-                          trials=1, seed=4, checkers=ODD_S_CHECKERS)
+                          trials=1, seed=4, checkers=sorted(CHECKERS))
         rows = run_verify(cfg)
-        assert len(rows) == 10
+        assert len(rows) == 11
         assert all(r.report.explicit_pass is not False for r in rows)
         assert len(brute) == 1
         assert len(spectra) == 2
@@ -113,11 +110,10 @@ class TestSameReports:
         (5, 3, 20, 21),
     ])
     def test_run_verify_matches_direct_calls(self, q, s, ne, nf):
-        names = sorted(CHECKERS) if s % 2 == 0 else ODD_S_CHECKERS
         cfg = SweepConfig(q_list=[q], s_list=[s], size_pairs=[(ne, nf)],
-                          trials=2, seed=17, checkers=names)
+                          trials=2, seed=17, checkers=sorted(CHECKERS))
         rows = run_verify(cfg)
-        assert len(rows) == 2 * len(names)
+        assert len(rows) == 2 * len(CHECKERS)
         ctx = make_field(q)
         for row in rows:
             E, F = cell_sets(cfg, q, s, ne, nf, row.trial)
@@ -146,6 +142,13 @@ class TestPerField:
         assert rows[0].report.to_json() == rows[1].report.to_json()
         run_verify(cfg)
         assert len(calls) == 10  # nothing is kept across calls
+
+    def test_each_field_is_built_once(self, monkeypatch):
+        calls = counting(monkeypatch, sweep, "make_field")
+        cfg = SweepConfig(q_list=[5, 7], s_list=[2], size_pairs=[(4, 6)],
+                          trials=1, seed=1, checkers=["profile_mass"])
+        assert len(run_verify(cfg)) == 2
+        assert len(calls) == 2  # validation's contexts are the sweep's
 
     def test_each_field_gets_its_own_report(self):
         cfg = SweepConfig(q_list=[3, 5], s_list=[2, 3], size_pairs=[(2, 3), (3, 2)],
