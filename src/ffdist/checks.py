@@ -35,7 +35,6 @@ import numpy as np
 
 from . import charsums
 from .distance import (
-    DEFAULT_PAIR_CAP,
     PointSet,
     cross_profile,
     distance_set,
@@ -93,9 +92,7 @@ class DyadicDecomposition:
 
 
 class Instance:
-    """One (ctx, E, F) cell; each quantity is computed on first use, once."""
-
-    pair_cap = DEFAULT_PAIR_CAP  # bounds the nu_brute pass; a sweep sets its own
+    """One (ctx, E, F) cell; each quantity is computed on first use, once, under ctx's caps."""
 
     def __init__(self, ctx: FieldContext, E: PointSet, F: PointSet):
         self.ctx, self.E, self.F = ctx, E, F
@@ -106,7 +103,7 @@ class Instance:
     sig_f = cached_property(lambda self: spherical_profile(self.ctx, self.F, spectrum=self.fhat))
     sig_ef = cached_property(lambda self: cross_profile(self.ctx, self.E, self.F,
                                                         spectra=(self.ehat, self.fhat)))
-    brute = cached_property(lambda self: nu_brute(self.E, self.F, pair_cap=self.pair_cap))
+    brute = cached_property(lambda self: nu_brute(self.E, self.F, pair_cap=self.ctx.pair_cap))
     spectral = cached_property(lambda self: nu_spectral(self.ctx, self.E, self.F,
                                                         spectra=(self.ehat, self.fhat)))
 
@@ -360,7 +357,6 @@ def check_sphere_bounds(ctx: FieldContext, s: int) -> LemmaReport:
     so the check is independent of the closed form.
     """
     q = ctx.q
-    ng = norm_grid(ctx, s).ravel()
     caps = {
         "trivial_cap": q ** (-s / 2),
         "weil_cap": 2 * q ** (-(s + 1) / 2),
@@ -382,6 +378,7 @@ def check_sphere_bounds(ctx: FieldContext, s: int) -> LemmaReport:
         if s >= 2:
             ok &= bool(mags[0] <= caps["origin_cap"] + _SLACK)
         if r == 0 and s % 2 == 0:
+            ng = norm_grid(ctx, s).ravel()  # after sphere_spectrum checked the grid cap
             iso = (ng == 0).copy()
             iso[0] = False
             if iso.any():

@@ -17,14 +17,11 @@ import argparse
 import sys
 
 from .checks import CHECKERS
-from .distance import DEFAULT_PAIR_CAP
 from .errors import CapError, FFDistError
-from .field import make_field
+from .field import DEFAULT_GRID_CAP, DEFAULT_PAIR_CAP, make_field
 from .generators import KINDS, GeneratorSpec, generate
 from .setio import write_pointset
-from .spectral import DEFAULT_GRID_CAP
 from .sweep import (
-    ConfigError,
     SweepConfig,
     bench_to_json,
     parse_checkers,
@@ -126,8 +123,7 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _emit(lines: list[str], out: str | None) -> None:
-    text = "\n".join(lines) + "\n"
+def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
@@ -145,9 +141,10 @@ def _cmd_verify(args) -> int:
     )
     rows, all_ok = run_sweep(cfg)
     if args.format == "csv":
-        _emit([CSV_HEADER] + [row_to_csv(r) for r in rows], args.out)
+        lines = [CSV_HEADER] + [row_to_csv(r) for r in rows]
     else:
-        _emit([r.report.to_json() for r in rows], args.out)
+        lines = [r.report.to_json() for r in rows]
+    _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK if all_ok else EXIT_CHECK_FAILED
 
 
@@ -170,12 +167,7 @@ def _cmd_bench(args) -> int:
     report = run_bench(args.q, args.s, args.sizeE, args.sizeF,
                        repetitions=args.reps, seed=args.seed,
                        grid_cap=args.cap_grid, pair_cap=args.cap_pairs)
-    text = bench_to_json(report)
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+    _emit(bench_to_json(report), args.out)
     if report["mode"] == "full" and not report["outputs_match"]:
         return EXIT_CHECK_FAILED
     if report["mode"] == "spectral_only" and not report["mass_identity_ok"]:
@@ -213,9 +205,6 @@ def main(argv=None) -> int:
     except CapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except FFDistError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -38,17 +38,9 @@ from .errors import (
     PairCapExceeded,
     RoundingDrift,
 )
-from .field import FieldContext
-from .spectral import (
-    DEFAULT_GRID_CAP,
-    GridFunction,
-    Spectrum,
-    check_grid_cap,
-    forward_transform,
-    norm_grid,
-)
+from .field import DEFAULT_PAIR_CAP, FieldContext, check_grid_cap
+from .spectral import GridFunction, Spectrum, forward_transform, norm_grid
 
-DEFAULT_PAIR_CAP = 10 ** 9
 DEFAULT_RESIDUAL_TOL = 1e-6
 
 
@@ -120,17 +112,16 @@ def _require_same_field(E: PointSet, F: PointSet) -> None:
 
 
 def indicator_grid(E: PointSet) -> GridFunction:
-    """The 0/1 characteristic function of E as a dense grid."""
-    vals = np.zeros((E.q,) * E.s, dtype=np.complex128)
+    """The 0/1 characteristic function of E as a dense real grid."""
+    vals = np.zeros((E.q,) * E.s, dtype=np.float64)
     vals.flat[E.radix_indices()] = 1.0
     return GridFunction(q=E.q, s=E.s, values=vals)
 
 
-def set_spectrum(ctx: FieldContext, E: PointSet,
-                 grid_cap: int = DEFAULT_GRID_CAP) -> Spectrum:
+def set_spectrum(ctx: FieldContext, E: PointSet) -> Spectrum:
     """Fourier transform of the indicator; Ehat(0) = #E / q^s exactly."""
-    check_grid_cap(E.q, E.s, grid_cap)
-    return forward_transform(ctx, indicator_grid(E), grid_cap)
+    check_grid_cap(ctx, E.s)
+    return forward_transform(ctx, indicator_grid(E))
 
 
 def nu_brute(E: PointSet, F: PointSet,
@@ -156,7 +147,6 @@ def nu_brute(E: PointSet, F: PointSet,
 
 
 def nu_spectral(ctx: FieldContext, E: PointSet, F: PointSet,
-                grid_cap: int = DEFAULT_GRID_CAP,
                 residual_tol: float = DEFAULT_RESIDUAL_TOL,
                 spectra: tuple[Spectrum, Spectrum] | None = None,
                 ) -> DistanceDistribution:
@@ -173,10 +163,9 @@ def nu_spectral(ctx: FieldContext, E: PointSet, F: PointSet,
     Pass spectra=(Ehat, Fhat) to reuse transforms computed elsewhere.
     """
     _require_same_field(E, F)
-    check_grid_cap(E.q, E.s, grid_cap)
     q, s = E.q, E.s
     if spectra is None:
-        spectra = (set_spectrum(ctx, E, grid_cap), set_spectrum(ctx, F, grid_cap))
+        spectra = (set_spectrum(ctx, E), set_spectrum(ctx, F))
     G_star = cross_profile(ctx, E, F, spectra=spectra).values
     # m = 0 sits at radix index 0 in the w = 0 bucket.
     A0 = complex(np.conj(spectra[0].values.flat[0]) * spectra[1].values.flat[0])
@@ -213,24 +202,22 @@ def distance_set(dist: DistanceDistribution) -> set[int]:
 
 
 def spherical_profile(ctx: FieldContext, E: PointSet,
-                      grid_cap: int = DEFAULT_GRID_CAP,
                       spectrum: Spectrum | None = None) -> SphericalProfile:
     """sigma_E(r) for all r: one bucketing pass over |Ehat|^2."""
     if spectrum is None:
-        spectrum = set_spectrum(ctx, E, grid_cap)
+        spectrum = set_spectrum(ctx, E)
     power = np.abs(spectrum.values.ravel()) ** 2
     vals = np.bincount(norm_grid(ctx, E.s).ravel(), weights=power, minlength=E.q)
     return SphericalProfile(kind="single_set", q=E.q, s=E.s, values=vals)
 
 
 def cross_profile(ctx: FieldContext, E: PointSet, F: PointSet,
-                  grid_cap: int = DEFAULT_GRID_CAP,
                   spectra: tuple[Spectrum, Spectrum] | None = None,
                   ) -> SphericalProfile:
     """sigma_{E,F}(r) = sum_{|m|^2 = r} conj(Ehat(m)) Fhat(m), complex."""
     _require_same_field(E, F)
     if spectra is None:
-        spectra = (set_spectrum(ctx, E, grid_cap), set_spectrum(ctx, F, grid_cap))
+        spectra = (set_spectrum(ctx, E), set_spectrum(ctx, F))
     A = (np.conj(spectra[0].values) * spectra[1].values).ravel()
     ng = norm_grid(ctx, E.s).ravel()
     vals = np.bincount(ng, weights=A.real, minlength=E.q) \

@@ -4,6 +4,7 @@ A FieldContext precomputes the three tables everything else runs on:
 multiplicative inverses, the quadratic character eta (+1 on nonzero
 squares, -1 on nonsquares), and the additive character table
 exp(2*pi*i*j/q).  Field elements are plain Python ints reduced mod q.
+It also carries the run's two cost caps, which every computation on it obeys.
 
 All character evaluations go through char_table, so identical j always
 yields bit-identical complex values.
@@ -17,6 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import (
+    CapExceeded,
     CompositeModulus,
     EvenModulus,
     ModulusTooLarge,
@@ -26,22 +28,29 @@ from .errors import (
 
 # Table memory cap: q complex values per context.
 DEFAULT_MODULUS_CAP = 2 ** 20
+# Grid cap: q**s entries per dense grid (~4M keeps every exhaustive check fast).
+DEFAULT_GRID_CAP = 2 ** 22
+# Pair cap: #E * #F pairs for the nu_brute oracle.
+DEFAULT_PAIR_CAP = 10 ** 9
 
 
 @dataclass(frozen=True, eq=False)
 class FieldContext:
-    """Immutable tables for F_q; safe to share across threads."""
+    """Immutable tables for F_q plus the run's caps; safe to share across threads."""
 
     q: int
     inv_table: np.ndarray   # int64, length q; inv_table[0] = 0 sentinel
     eta_table: np.ndarray   # int8, length q; eta_table[0] = 0
     char_table: np.ndarray  # complex128, length q; char_table[j] = e(j/q)
+    grid_cap: int = DEFAULT_GRID_CAP  # max q**s of any dense grid (check_grid_cap)
+    pair_cap: int = DEFAULT_PAIR_CAP  # max #E * #F of a checker cell's nu_brute pass
 
     def __repr__(self) -> str:  # keep reprs short; tables are big
         return f"FieldContext(q={self.q})"
 
     # The tables are a function of q alone, so caches keyed on a context
-    # hold one entry per q however many contexts are built.
+    # hold one entry per q however many contexts are built; the caps are
+    # checked outside those caches and take no part in the key.
     def __eq__(self, other) -> bool:
         return isinstance(other, FieldContext) and other.q == self.q
 
@@ -63,10 +72,13 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def make_field(q: int, modulus_cap: int = DEFAULT_MODULUS_CAP) -> FieldContext:
+def make_field(q: int, modulus_cap: int = DEFAULT_MODULUS_CAP,
+               grid_cap: int = DEFAULT_GRID_CAP,
+               pair_cap: int = DEFAULT_PAIR_CAP) -> FieldContext:
     """Validate q and build the inverse / quadratic-character / character tables.
 
-    Raises ModulusTooSmall, EvenModulus, ModulusTooLarge or
+    grid_cap and pair_cap are stored on the context for every computation
+    that runs on it.  Raises ModulusTooSmall, EvenModulus, ModulusTooLarge or
     CompositeModulus when q is not an odd prime in [3, modulus_cap].
     """
     q = int(q)
@@ -94,7 +106,15 @@ def make_field(q: int, modulus_cap: int = DEFAULT_MODULUS_CAP) -> FieldContext:
     char = np.exp(2j * np.pi * np.arange(q) / q)
     char[0] = 1.0 + 0.0j
 
-    return FieldContext(q=q, inv_table=inv, eta_table=eta, char_table=char)
+    return FieldContext(q=q, inv_table=inv, eta_table=eta, char_table=char,
+                        grid_cap=grid_cap, pair_cap=pair_cap)
+
+
+def check_grid_cap(ctx: FieldContext, s: int) -> None:
+    """Raise CapExceeded when a dense grid on F_q^s would exceed ctx.grid_cap."""
+    if ctx.q ** s > ctx.grid_cap:
+        raise CapExceeded(
+            f"q**s = {ctx.q}**{s} = {ctx.q ** s} exceeds grid cap {ctx.grid_cap}")
 
 
 def inverse(ctx: FieldContext, a: int) -> int:

@@ -19,20 +19,19 @@ from functools import lru_cache
 import numpy as np
 
 from . import charsums
-from .errors import CapExceeded
-from .field import FieldContext, norm_squared  # noqa: F401  (re-exported)
+from .field import FieldContext, check_grid_cap, norm_squared  # noqa: F401  (re-exported)
 
-# Grid cap: q**s complex entries (~4M keeps every exhaustive check fast).
-DEFAULT_GRID_CAP = 2 ** 22
+# Every function here that builds a q**s grid first checks it against
+# ctx.grid_cap (field.check_grid_cap); the cached tables below stay uncapped.
 
 
 @dataclass(frozen=True, eq=False)
 class GridFunction:
-    """A dense complex function on F_q^s (space domain)."""
+    """A dense real or complex function on F_q^s (space domain)."""
 
     q: int
     s: int
-    values: np.ndarray  # complex128, shape (q,)*s
+    values: np.ndarray  # float64 (indicators) or complex128, shape (q,)*s
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,11 +59,6 @@ class Sphere:
     count: int
 
 
-def check_grid_cap(q: int, s: int, grid_cap: int = DEFAULT_GRID_CAP) -> None:
-    if q ** s > grid_cap:
-        raise CapExceeded(f"q**s = {q}**{s} = {q ** s} exceeds grid cap {grid_cap}")
-
-
 @lru_cache(maxsize=64)
 def _dft_matrices(ctx: FieldContext) -> tuple[np.ndarray, np.ndarray]:
     """(W, V) with W[x, m] = e(-x m / q) and V[x, m] = e(+x m / q)."""
@@ -87,30 +81,32 @@ def norm_grid(ctx: FieldContext, s: int) -> np.ndarray:
 
 
 def _axis_passes(mat: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Apply the same length-q kernel along every axis of values."""
-    out = values.astype(np.complex128, copy=True)
+    """Apply the same length-q kernel along every axis of values.
+
+    The first pass already returns a new complex array, so values (real
+    or complex) is read, never written, and needs no copy of its own.
+    """
+    out = values
     for axis in range(out.ndim):
         out = np.moveaxis(np.tensordot(mat, np.moveaxis(out, axis, 0), axes=(1, 0)), 0, axis)
     return out
 
 
-def forward_transform(ctx: FieldContext, f: GridFunction,
-                      grid_cap: int = DEFAULT_GRID_CAP) -> Spectrum:
+def forward_transform(ctx: FieldContext, f: GridFunction) -> Spectrum:
     """fhat(x) = q^(-s) sum_m e(-m.x/q) f(m), axis-factored."""
     if isinstance(f, Spectrum):
         raise TypeError("input is already a Spectrum; refusing a double transform")
-    check_grid_cap(ctx.q, f.s, grid_cap)
+    check_grid_cap(ctx, f.s)
     W, _ = _dft_matrices(ctx)
     vals = _axis_passes(W, f.values) * (1.0 / ctx.q ** f.s)
     return Spectrum(q=ctx.q, s=f.s, values=vals)
 
 
-def inverse_transform(ctx: FieldContext, F: Spectrum,
-                      grid_cap: int = DEFAULT_GRID_CAP) -> GridFunction:
+def inverse_transform(ctx: FieldContext, F: Spectrum) -> GridFunction:
     """f(x) = sum_m e(+m.x/q) fhat(m); exact inverse of forward_transform."""
     if isinstance(F, GridFunction):
         raise TypeError("input is a space-domain GridFunction, not a Spectrum")
-    check_grid_cap(ctx.q, F.s, grid_cap)
+    check_grid_cap(ctx, F.s)
     _, V = _dft_matrices(ctx)
     return GridFunction(q=ctx.q, s=F.s, values=_axis_passes(V, F.values))
 
@@ -123,16 +119,15 @@ def plancherel_gap(ctx: FieldContext, f: GridFunction) -> float:
     return abs(lhs - rhs)
 
 
-def sphere_counts(ctx: FieldContext, s: int, grid_cap: int = DEFAULT_GRID_CAP) -> np.ndarray:
+def sphere_counts(ctx: FieldContext, s: int) -> np.ndarray:
     """counts[r] = |S_r| for every r, from one histogram pass over the grid."""
-    check_grid_cap(ctx.q, s, grid_cap)
+    check_grid_cap(ctx, s)
     return np.bincount(norm_grid(ctx, s).ravel(), minlength=ctx.q)
 
 
-def enumerate_sphere(ctx: FieldContext, s: int, r: int,
-                     grid_cap: int = DEFAULT_GRID_CAP) -> Sphere:
+def enumerate_sphere(ctx: FieldContext, s: int, r: int) -> Sphere:
     """All x with |x|^2 = r, by exhaustive scan of the grid."""
-    check_grid_cap(ctx.q, s, grid_cap)
+    check_grid_cap(ctx, s)
     q = ctx.q
     r = r % q
     flat = np.flatnonzero(norm_grid(ctx, s).ravel() == r)
@@ -140,26 +135,24 @@ def enumerate_sphere(ctx: FieldContext, s: int, r: int,
     return Sphere(q=q, s=s, r=r, points=pts, count=len(flat))
 
 
-def sphere_indicator(ctx: FieldContext, s: int, r: int,
-                     grid_cap: int = DEFAULT_GRID_CAP) -> GridFunction:
+def sphere_indicator(ctx: FieldContext, s: int, r: int) -> GridFunction:
     """0/1 grid of the sphere S_r."""
-    check_grid_cap(ctx.q, s, grid_cap)
-    vals = (norm_grid(ctx, s) == r % ctx.q).astype(np.complex128)
+    check_grid_cap(ctx, s)
+    vals = (norm_grid(ctx, s) == r % ctx.q).astype(np.float64)
     return GridFunction(q=ctx.q, s=s, values=vals)
 
 
-def sphere_spectrum(ctx: FieldContext, s: int, r: int, mode: str = "direct",
-                    grid_cap: int = DEFAULT_GRID_CAP) -> Spectrum:
+def sphere_spectrum(ctx: FieldContext, s: int, r: int, mode: str = "direct") -> Spectrum:
     """Fourier transform of the sphere indicator.
 
     mode="direct" pushes the 0/1 grid through forward_transform;
     mode="closed_form" fills the grid from the character-sum closed form
     (one value per norm class).  The two agree to 1e-9 per entry.
     """
-    check_grid_cap(ctx.q, s, grid_cap)
     if mode == "direct":
-        return forward_transform(ctx, sphere_indicator(ctx, s, r, grid_cap), grid_cap)
+        return forward_transform(ctx, sphere_indicator(ctx, s, r))
     if mode == "closed_form":
+        check_grid_cap(ctx, s)
         at_origin, by_class = charsums.sphere_class_values(ctx, s, r)
         vals = by_class[norm_grid(ctx, s)]
         vals.flat[0] = at_origin

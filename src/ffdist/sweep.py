@@ -22,12 +22,11 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .checks import CHECKERS, PER_FIELD, LemmaReport, instance
-from .distance import DEFAULT_PAIR_CAP, DEFAULT_RESIDUAL_TOL, nu_brute, nu_spectral
+from .checks import CHECKERS, PER_FIELD, LemmaReport
+from .distance import DEFAULT_RESIDUAL_TOL, nu_brute, nu_spectral
 from .errors import FFDistError, PairCapExceeded
-from .field import FieldContext, make_field
+from .field import DEFAULT_GRID_CAP, DEFAULT_PAIR_CAP, FieldContext, check_grid_cap, make_field
 from .generators import GeneratorSpec, generate
-from .spectral import DEFAULT_GRID_CAP, check_grid_cap
 
 CSV_HEADER = ("lemma_id,q,s,sizeE,sizeF,trial,seed,"
               "hypothesis_met,lhs,explicit_pass,measured_constant")
@@ -69,7 +68,8 @@ def trial_seed(master: int, q: int, s: int, trial: int, tag: str) -> int:
 
 
 def validate_config(cfg: SweepConfig) -> dict[int, FieldContext]:
-    """Raise ConfigError (or CapExceeded) on a bad config; else the contexts by q."""
+    """Raise ConfigError (or CapExceeded) on a bad config; else the contexts by q,
+    each carrying cfg.grid_cap and cfg.pair_cap to every checker."""
     if cfg.trials < 1:
         raise ConfigError("trials must be >= 1")
     if not cfg.q_list or not cfg.s_list or not cfg.size_pairs:
@@ -82,14 +82,14 @@ def validate_config(cfg: SweepConfig) -> dict[int, FieldContext]:
     contexts = {}
     for q in cfg.q_list:
         try:
-            contexts[q] = make_field(q)
+            contexts[q] = make_field(q, grid_cap=cfg.grid_cap, pair_cap=cfg.pair_cap)
         except FFDistError as exc:
             raise ConfigError(f"q_list entry {q}: {exc}") from None
     for s in cfg.s_list:
         if s < 1:
             raise ConfigError(f"s_list entry {s}: dimension must be >= 1")
-        for q in cfg.q_list:
-            check_grid_cap(q, s, cfg.grid_cap)
+        for ctx in contexts.values():
+            check_grid_cap(ctx, s)
     for ne, nf in cfg.size_pairs:
         if ne < 1 or nf < 1:
             raise ConfigError(f"size pair ({ne}, {nf}): sizes must be >= 1")
@@ -118,7 +118,6 @@ def iter_sweep(cfg: SweepConfig) -> Iterator[SweepRow]:
                     F = generate(ctx, s, GeneratorSpec(
                         "uniform_random", size=nf,
                         seed=trial_seed(cfg.seed, q, s, trial, "F")))
-                    instance(ctx, E, F).pair_cap = cfg.pair_cap
                     for name in cfg.checkers:
                         report = per_field.get(name) or CHECKERS[name](ctx, E, F)
                         if name in PER_FIELD:
@@ -175,8 +174,7 @@ def run_bench(q: int, s: int, sizeE: int, sizeF: int, repetitions: int = 5,
     """
     if repetitions < 1:
         raise ConfigError("repetitions must be >= 1")
-    ctx = make_field(q)
-    check_grid_cap(q, s, grid_cap)
+    ctx = make_field(q, grid_cap=grid_cap, pair_cap=pair_cap)
     E = generate(ctx, s, GeneratorSpec("uniform_random", size=sizeE,
                                        seed=trial_seed(seed, q, s, 0, "E")))
     F = generate(ctx, s, GeneratorSpec("uniform_random", size=sizeF,
@@ -185,7 +183,7 @@ def run_bench(q: int, s: int, sizeE: int, sizeF: int, repetitions: int = 5,
     t_spectral = []
     for _ in range(repetitions):
         t0 = time.perf_counter()
-        spectral = nu_spectral(ctx, E, F, grid_cap=grid_cap)
+        spectral = nu_spectral(ctx, E, F)
         t_spectral.append(time.perf_counter() - t0)
 
     report = {
@@ -199,7 +197,7 @@ def run_bench(q: int, s: int, sizeE: int, sizeF: int, repetitions: int = 5,
         t_brute = []
         for _ in range(repetitions):
             t0 = time.perf_counter()
-            brute = nu_brute(E, F, pair_cap=pair_cap)
+            brute = nu_brute(E, F, pair_cap=ctx.pair_cap)
             t_brute.append(time.perf_counter() - t0)
         report["t_brute"] = statistics.median(t_brute)
         report["speedup"] = report["t_brute"] / report["t_spectral"]

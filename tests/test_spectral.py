@@ -85,10 +85,10 @@ class TestForwardTransform:
         with pytest.raises(TypeError):
             forward_transform(contexts[3], F)
 
-    def test_grid_cap(self, contexts):
+    def test_grid_cap(self):
         f = random_grid(7, 2, 0)
         with pytest.raises(CapExceeded):
-            forward_transform(contexts[7], f, grid_cap=10)
+            forward_transform(make_field(7, grid_cap=10), f)
 
 
 class TestInverseTransform:
