@@ -11,21 +11,22 @@ from pathlib import Path
 
 from ffdist.sweep import SweepConfig, run_bench, run_sweep, bench_to_json
 
-out = Path(tempfile.mkdtemp()) / "sweep.csv"
-cfg = SweepConfig(
-    q_list=[5, 7, 13],
-    s_list=[2],
-    size_pairs=[(10, 15), (25, 25)],
-    trials=2,
-    seed=2024,
-    checkers=["nu_spectral", "second_moment", "profile_product", "nu_zero"],
-    out=str(out),
-)
-rows, all_ok = run_sweep(cfg)
-print(f"sweep: {len(rows)} rows, all explicit checks pass: {all_ok}")
-print(f"CSV at {out}; first rows:\n")
-for line in out.read_text().splitlines()[:6]:
-    print(f"  {line}")
+with tempfile.TemporaryDirectory() as tmp:
+    out = Path(tmp) / "sweep.csv"
+    cfg = SweepConfig(
+        q_list=[5, 7, 13],
+        s_list=[2],
+        size_pairs=[(10, 15), (25, 25)],
+        trials=2,
+        seed=2024,
+        checkers=["nu_spectral", "second_moment", "profile_product", "nu_zero"],
+        out=str(out),
+    )
+    rows, all_ok = run_sweep(cfg)
+    print(f"sweep: {len(rows)} rows, all explicit checks pass: {all_ok}")
+    print(f"CSV at {out} (removed on exit); first rows:\n")
+    for line in out.read_text().splitlines()[:6]:
+        print(f"  {line}")
 
 print("\nbench: spectral path vs literal pair loop "
       "(both produce identical integer counts)")

@@ -1,8 +1,8 @@
 """Complete exponential sums over F_q, evaluated by literal summation.
 
 This module is the trusted oracle for everything spectral: every sum is
-an explicit O(q) loop over the character table, with no closed-form
-shortcuts.  It provides
+an explicit O(q) loop over the character table, all through the one
+evaluator twisted_sums, with no closed-form shortcuts.  It provides
 
   * the Gauss sum g = sum_{t != 0} eta(t) e(t/q) and its unit
     normalization c_q = g / sqrt(q),
@@ -37,31 +37,43 @@ class GaussData:
     epsilon_class: int    # q mod 4
 
 
+def inverse_multiples(ctx: FieldContext, b: Sequence[int] | np.ndarray) -> np.ndarray:
+    """Index table (b_i * t^-1) mod q, shape (len(b), q - 1), t = 1 .. q - 1."""
+    q = ctx.q
+    return (np.asarray(b, dtype=np.int64)[:, None] % q) * ctx.inv_table[1:][None, :] % q
+
+
+def twisted_sums(ctx: FieldContext, a: int, b: Sequence[int] | np.ndarray,
+                 twisted: bool) -> np.ndarray:
+    """sum_{t != 0} eta(t)^e e((a t + b_i t^-1)/q) for every b_i, by literal summation.
+
+    e = 1 when twisted (Gauss and Salie sums), e = 0 otherwise (Kloosterman).
+    """
+    t = np.arange(1, ctx.q, dtype=np.int64)
+    terms = ctx.char_table[(a % ctx.q * t + inverse_multiples(ctx, b)) % ctx.q]
+    if twisted:
+        terms = terms * ctx.eta_table[1:]
+    return terms.sum(axis=1)
+
+
 def gauss_data(ctx: FieldContext) -> GaussData:
     """Compute the Gauss sum by direct summation and normalize it.
 
     The classical sign (c_q = 1 for q = 1 mod 4, c_q = i for q = 3 mod 4)
     is never assumed here; tests verify it against these computed values.
     """
-    q = ctx.q
-    g = complex(np.sum(ctx.eta_table[1:].astype(np.complex128) * ctx.char_table[1:]))
-    return GaussData(g=g, c_q=g / math.sqrt(q), epsilon_class=q % 4)
+    g = salie(ctx, 1, 0)
+    return GaussData(g=g, c_q=g / math.sqrt(ctx.q), epsilon_class=ctx.q % 4)
 
 
 def kloosterman(ctx: FieldContext, a: int, b: int) -> complex:
     """K(a, b) = sum over t in F_q^* of e((a t + b t^-1)/q)."""
-    q = ctx.q
-    t = np.arange(1, q, dtype=np.int64)
-    idx = (a % q * t + b % q * ctx.inv_table[1:]) % q
-    return complex(np.sum(ctx.char_table[idx]))
+    return complex(twisted_sums(ctx, a, [b], twisted=False)[0])
 
 
 def salie(ctx: FieldContext, a: int, b: int) -> complex:
     """The eta-twisted Kloosterman sum sum_t eta(t) e((a t + b t^-1)/q)."""
-    q = ctx.q
-    t = np.arange(1, q, dtype=np.int64)
-    idx = (a % q * t + b % q * ctx.inv_table[1:]) % q
-    return complex(np.sum(ctx.eta_table[1:] * ctx.char_table[idx]))
+    return complex(twisted_sums(ctx, a, [b], twisted=True)[0])
 
 
 def sphere_unit(ctx: FieldContext, s: int) -> complex:
@@ -80,25 +92,15 @@ def sphere_unit(ctx: FieldContext, s: int) -> complex:
 def sphere_class_values(ctx: FieldContext, s: int, r: int) -> tuple[complex, np.ndarray]:
     """Closed-form sphere transform, evaluated once per norm class.
 
-    S_r^(m) depends on m only through |m|^2 and the m = 0 flag, so the
-    whole transform collapses to q values plus the origin correction.
-    Returns (value at m = 0, array v of length q with v[w] the value at
-    any m != 0 with |m|^2 = w).  Cost O(q^2).
+    At m != 0, S_r^(m) is q^(-s/2-1) u_s times K(r, |m|^2 inv(4)) (Salie
+    for odd s), so the whole transform collapses to q values plus the
+    origin correction.  Returns (value at m = 0, array v of length q with
+    v[w] the value at any m != 0 with |m|^2 = w).  Cost O(q^2).
     """
     q = ctx.q
-    j = np.arange(1, q, dtype=np.int64)
-    jr = (j * (r % q)) % q
-    inv4 = int(ctx.inv_table[4 % q])
-    # phase[w, t] = (j_t * r + w * inv4 * inv(j_t)) mod q
-    w_part = (np.arange(q, dtype=np.int64)[:, None] * inv4 % q) * ctx.inv_table[1:][None, :] % q
-    idx = (jr[None, :] + w_part) % q
-    terms = ctx.char_table[idx]
-    if s % 2 == 1:
-        terms = terms * ctx.eta_table[1:][None, :]
-    scale = q ** (-s / 2 - 1) * sphere_unit(ctx, s)
-    v = scale * terms.sum(axis=1)
-    at_origin = 1.0 / q + v[0]
-    return complex(at_origin), v
+    w_inv4 = np.arange(q, dtype=np.int64) * int(ctx.inv_table[4 % q])
+    v = q ** (-s / 2 - 1) * sphere_unit(ctx, s) * twisted_sums(ctx, r, w_inv4, s % 2 == 1)
+    return complex(1.0 / q + v[0]), v
 
 
 def sphere_fourier_closed(ctx: FieldContext, s: int, r: int, m: Sequence[int]) -> complex:
@@ -109,13 +111,9 @@ def sphere_fourier_closed(ctx: FieldContext, s: int, r: int, m: Sequence[int]) -
     mm = [int(c) % q for c in m]
     if len(mm) != s:
         raise ValueError(f"point has {len(mm)} coordinates, expected s = {s}")
-    j = np.arange(1, q, dtype=np.int64)
-    inv4 = int(ctx.inv_table[4 % q])
-    idx = (j * (r % q) + norm_squared(ctx, mm) * inv4 % q * ctx.inv_table[1:]) % q
-    terms = ctx.char_table[idx]
-    if s % 2 == 1:
-        terms = terms * ctx.eta_table[1:]
-    val = q ** (-s / 2 - 1) * sphere_unit(ctx, s) * complex(np.sum(terms))
+    b = norm_squared(ctx, mm) * int(ctx.inv_table[4 % q])
+    K = complex(twisted_sums(ctx, r, [b], s % 2 == 1)[0])
+    val = q ** (-s / 2 - 1) * sphere_unit(ctx, s) * K
     if all(c == 0 for c in mm):
         val += 1.0 / q
     return val

@@ -39,7 +39,7 @@ from .errors import (
     RoundingDrift,
 )
 from .field import DEFAULT_PAIR_CAP, FieldContext, check_grid_cap
-from .spectral import GridFunction, Spectrum, forward_transform, norm_grid
+from .spectral import GridFunction, Spectrum, _dft_matrices, forward_transform, norm_grid
 
 DEFAULT_RESIDUAL_TOL = 1e-6
 
@@ -172,16 +172,14 @@ def nu_spectral(ctx: FieldContext, E: PointSet, F: PointSet,
     G_star[0] -= A0
 
     # H[k] = sum_w G_star[w] e(w * inv(4) * inv(k) / q), k in F_q^*.
-    inv4 = int(ctx.inv_table[4 % q])
-    w = np.arange(q, dtype=np.int64)
-    phase = (w[:, None] * inv4 % q) * ctx.inv_table[1:][None, :] % q
-    H = G_star @ ctx.char_table[phase]
+    w_inv4 = np.arange(q, dtype=np.int64) * int(ctx.inv_table[4 % q])
+    H = G_star @ ctx.char_table[charsums.inverse_multiples(ctx, w_inv4)]
 
     B = A0 + H
     if s % 2 == 1:
         B = B * ctx.eta_table[1:]
-    j = np.arange(q, dtype=np.int64)
-    dft = ctx.char_table[np.outer(j, np.arange(1, q, dtype=np.int64)) % q] @ B
+    # dft[j] = sum_k e(j k / q) B[k]: row -j mod q of W[x, k] = e(-x k / q).
+    dft = (_dft_matrices(ctx)[:, 1:] @ B)[-np.arange(q) % q]
 
     raw = E.size * F.size / q \
         + q ** (1.5 * s - 1) * charsums.sphere_unit(ctx, s) * dft

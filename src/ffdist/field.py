@@ -28,7 +28,8 @@ from .errors import (
 
 # Table memory cap: q complex values per context.
 DEFAULT_MODULUS_CAP = 2 ** 20
-# Grid cap: q**s entries per dense grid (~4M keeps every exhaustive check fast).
+# Grid cap: q**s entries per dense grid (2**22, 64 MB as complex128).  It bounds
+# memory, not time: sphere_bounds runs q transforms, ~1.6 h at q = 2039, s = 2.
 DEFAULT_GRID_CAP = 2 ** 22
 # Pair cap: #E * #F pairs for the nu_brute oracle.
 DEFAULT_PAIR_CAP = 10 ** 9
@@ -72,22 +73,21 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def make_field(q: int, modulus_cap: int = DEFAULT_MODULUS_CAP,
-               grid_cap: int = DEFAULT_GRID_CAP,
+def make_field(q: int, grid_cap: int = DEFAULT_GRID_CAP,
                pair_cap: int = DEFAULT_PAIR_CAP) -> FieldContext:
     """Validate q and build the inverse / quadratic-character / character tables.
 
     grid_cap and pair_cap are stored on the context for every computation
     that runs on it.  Raises ModulusTooSmall, EvenModulus, ModulusTooLarge or
-    CompositeModulus when q is not an odd prime in [3, modulus_cap].
+    CompositeModulus when q is not an odd prime in [3, DEFAULT_MODULUS_CAP].
     """
     q = int(q)
     if q < 3:
         raise ModulusTooSmall(f"q = {q} < 3")
     if q % 2 == 0:
         raise EvenModulus(f"q = {q} is even")
-    if q > modulus_cap:
-        raise ModulusTooLarge(f"q = {q} exceeds cap {modulus_cap}")
+    if q > DEFAULT_MODULUS_CAP:
+        raise ModulusTooLarge(f"q = {q} exceeds cap {DEFAULT_MODULUS_CAP}")
     if not _is_prime(q):
         raise CompositeModulus(f"q = {q} is not prime")
 

@@ -59,17 +59,18 @@ class Sphere:
     count: int
 
 
-@lru_cache(maxsize=64)
-def _dft_matrices(ctx: FieldContext) -> tuple[np.ndarray, np.ndarray]:
-    """(W, V) with W[x, m] = e(-x m / q) and V[x, m] = e(+x m / q)."""
+# Both caches hold the one field (and dimension) in use: a sweep walks q in
+# its outer loop, so an older entry is never read again.
+@lru_cache(maxsize=1)
+def _dft_matrices(ctx: FieldContext) -> np.ndarray:
+    """W[x, m] = e(-x m / q); its row -x mod q is e(+x m / q), so W also serves
+    every inverse (e(+)) sum without a mirrored copy."""
     q = ctx.q
     prod = np.outer(np.arange(q, dtype=np.int64), np.arange(q, dtype=np.int64)) % q
-    V = ctx.char_table[prod]
-    W = ctx.char_table[(-prod) % q]
-    return W, V
+    return ctx.char_table[(-prod) % q]
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=1)
 def norm_grid(ctx: FieldContext, s: int) -> np.ndarray:
     """Array of shape (q,)*s holding |x|^2 mod q at every grid point."""
     q = ctx.q
@@ -97,8 +98,7 @@ def forward_transform(ctx: FieldContext, f: GridFunction) -> Spectrum:
     if isinstance(f, Spectrum):
         raise TypeError("input is already a Spectrum; refusing a double transform")
     check_grid_cap(ctx, f.s)
-    W, _ = _dft_matrices(ctx)
-    vals = _axis_passes(W, f.values) * (1.0 / ctx.q ** f.s)
+    vals = _axis_passes(_dft_matrices(ctx), f.values) * (1.0 / ctx.q ** f.s)
     return Spectrum(q=ctx.q, s=f.s, values=vals)
 
 
@@ -107,7 +107,7 @@ def inverse_transform(ctx: FieldContext, F: Spectrum) -> GridFunction:
     if isinstance(F, GridFunction):
         raise TypeError("input is a space-domain GridFunction, not a Spectrum")
     check_grid_cap(ctx, F.s)
-    _, V = _dft_matrices(ctx)
+    V = _dft_matrices(ctx)[-np.arange(ctx.q) % ctx.q]  # V[x, m] = e(+x m / q)
     return GridFunction(q=ctx.q, s=F.s, values=_axis_passes(V, F.values))
 
 

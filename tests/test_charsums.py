@@ -1,9 +1,10 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
-from ffdist import gauss_data, kloosterman, make_field, salie, sphere_fourier_closed
+from ffdist import gauss_data, inverse, kloosterman, make_field, salie, sphere_fourier_closed
 from ffdist.charsums import sphere_class_values, sphere_unit
 from conftest import PRIMES_TO_31
 
@@ -149,3 +150,26 @@ class TestSphereFourierClosed:
         for q in (5, 7):
             gd = gauss_data(contexts[q])
             assert sphere_unit(contexts[q], 2) == pytest.approx(gd.c_q ** 2)
+
+
+class TestOneEvaluator:
+    """The sums share one evaluator, so these identities hold bit for bit."""
+
+    @pytest.mark.parametrize("q", (3, 5, 7, 13, 31))
+    @pytest.mark.parametrize("s", (2, 3))
+    def test_class_values_are_scaled_kloosterman_or_salie(self, contexts, q, s):
+        ctx = contexts[q]
+        K = kloosterman if s % 2 == 0 else salie
+        inv4 = inverse(ctx, 4)
+        scale = q ** (-s / 2 - 1) * sphere_unit(ctx, s)
+        for r in range(q):
+            at0, by_class = sphere_class_values(ctx, s, r)
+            assert at0 == 1.0 / q + by_class[0]
+            # Scaled as one array, like the class values: numpy's vectorised
+            # complex product can round the last bit unlike a scalar product.
+            sums = np.array([K(ctx, r, w * inv4) for w in range(q)])
+            assert np.array_equal(by_class, scale * sums)
+
+    @pytest.mark.parametrize("q", (3, 5, 7, 13, 31))
+    def test_gauss_sum_is_salie_at_b_zero(self, contexts, q):
+        assert gauss_data(contexts[q]).g == salie(contexts[q], 1, 0)

@@ -226,3 +226,25 @@ class TestDeterminism:
             nu_spectral(make_field(31), E, F)
         assert spectral._dft_matrices.cache_info().currsize == 1
         assert spectral.norm_grid.cache_info().currsize == 1
+
+    def test_caches_hold_only_the_field_in_use(self):
+        from ffdist import spectral
+        from ffdist.sweep import SweepConfig, run_verify
+        cfg = SweepConfig(q_list=[3, 5, 7, 11, 13, 17], s_list=[2], size_pairs=[(4, 6)],
+                          trials=1, seed=0, checkers=["profile_mass", "nu_spectral"])
+        run_verify(cfg)
+        assert spectral._dft_matrices.cache_info().currsize == 1
+        assert spectral.norm_grid.cache_info().currsize == 1
+
+
+class TestDftMatrix:
+    @pytest.mark.parametrize("q", (3, 5, 7, 13, 31))
+    def test_one_matrix_serves_both_signs(self, contexts, q):
+        from ffdist import spectral
+        ctx = contexts[q]
+        W = spectral._dft_matrices(ctx)
+        assert isinstance(W, np.ndarray) and W.shape == (q, q)
+        x = np.arange(q)
+        plus = ctx.char_table[np.outer(x, x) % q]  # e(+x m / q)
+        assert np.array_equal(W, ctx.char_table[np.outer(-x % q, x) % q])
+        assert np.array_equal(W[-x % q], plus)
