@@ -7,7 +7,8 @@ For E, F in F_q^s the central object is
 computed two ways: a literal pair loop (nu_brute, exact integers, the
 oracle) and a spectral path (nu_spectral) that runs two grid transforms,
 buckets the cross-spectrum conj(Ehat) * Fhat by |m|^2, and assembles all
-q counts through the closed-form sphere kernel in O(q^2) extra work.
+q counts through the closed-form sphere kernel with two length-q FFTs,
+O(q log q) extra work.
 The spectral counts must round back to the brute-force integers; a
 residual above 1e-6 raises RoundingDrift instead of returning drifted
 values.
@@ -39,7 +40,7 @@ from .errors import (
     RoundingDrift,
 )
 from .field import DEFAULT_PAIR_CAP, FieldContext, check_grid_cap
-from .spectral import GridFunction, Spectrum, _dft_matrices, forward_transform, norm_grid
+from .spectral import GridFunction, Spectrum, forward_transform, norm_grid
 
 DEFAULT_RESIDUAL_TOL = 1e-6
 
@@ -156,8 +157,9 @@ def nu_spectral(ctx: FieldContext, E: PointSet, F: PointSet,
 
     The cross-spectrum A = conj(Ehat) * Fhat is bucketed by |m|^2 once;
     because Shat_j(m) depends on m only through |m|^2, the remaining
-    j-dependence is a single length-q character sum, so every j costs
-    O(q) after two transforms.  Counts are rounded to integers and the
+    j-dependence is a single length-q character sum, and both length-q
+    sums below are unnormalised inverse FFTs: O(q log q) for all j after
+    two transforms.  Counts are rounded to integers and the
     pre-rounding residual is gated at residual_tol (RoundingDrift).
 
     Pass spectra=(Ehat, Fhat) to reuse transforms computed elsewhere.
@@ -171,15 +173,17 @@ def nu_spectral(ctx: FieldContext, E: PointSet, F: PointSet,
     A0 = complex(np.conj(spectra[0].values.flat[0]) * spectra[1].values.flat[0])
     G_star[0] -= A0
 
-    # H[k] = sum_w G_star[w] e(w * inv(4) * inv(k) / q), k in F_q^*.
-    w_inv4 = np.arange(q, dtype=np.int64) * int(ctx.inv_table[4 % q])
-    H = G_star @ ctx.char_table[charsums.inverse_multiples(ctx, w_inv4)]
+    # H[k] = h[inv(4) * inv(k)] for k in F_q^*, h[n] = sum_w G_star[w] e(w n / q);
+    # norm="forward" leaves ifft as the unscaled e(+) sum.
+    h = np.fft.ifft(G_star, norm="forward")
+    H = h[charsums.inverse_multiples(ctx, [ctx.inv_table[4 % q]])[0]]
 
-    B = A0 + H
+    B = np.zeros(q, dtype=np.complex128)  # B[0] = 0: the sum runs over k != 0
+    B[1:] = A0 + H
     if s % 2 == 1:
-        B = B * ctx.eta_table[1:]
-    # dft[j] = sum_k e(j k / q) B[k]: row -j mod q of W[x, k] = e(-x k / q).
-    dft = (_dft_matrices(ctx)[:, 1:] @ B)[-np.arange(q) % q]
+        B[1:] *= ctx.eta_table[1:]
+    # dft[j] = sum_{k != 0} e(j k / q) B[k].
+    dft = np.fft.ifft(B, norm="forward")
 
     raw = E.size * F.size / q \
         + q ** (1.5 * s - 1) * charsums.sphere_unit(ctx, s) * dft

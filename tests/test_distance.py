@@ -8,6 +8,7 @@ from ffdist import (
     cross_profile,
     distance_set,
     intersection_count,
+    make_field,
     make_point_set,
     nu_brute,
     nu_spectral,
@@ -118,6 +119,12 @@ class TestNuSpectral:
             F = random_set(q, s, nF, seed=1000 * trial + 2)
             assert np.array_equal(nu_spectral(contexts[q], E, F).nu,
                                   nu_brute(E, F).nu)
+
+    # 151 is the last dense q; 157 and 257 transform on pocketfft.
+    @pytest.mark.parametrize("q", (151, 157, 257))
+    def test_matches_oracle_on_both_backends(self, q):
+        E, F = random_set(q, 2, 300, seed=q), random_set(q, 2, 310, seed=q + 1)
+        assert np.array_equal(nu_spectral(make_field(q), E, F).nu, nu_brute(E, F).nu)
 
     def test_q13_size40_example(self, contexts):
         E = random_set(13, 2, 40, 81)

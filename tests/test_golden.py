@@ -3,7 +3,9 @@
 The files under data/golden/ are the outputs of the commands below.  The
 runs set no BLAS thread variable: at these sizes the bytes agreed at one
 thread, two threads and the library default.  A deliberate change of
-output means regenerating them with the same commands.
+output means regenerating them with the same commands.  A fourth run
+checks that a sweep above the dense-transform range gives the same bytes
+at one and two BLAS threads.
 """
 
 import os
@@ -27,13 +29,32 @@ RUNS = {
 }
 
 
+def run_cli(args, cwd, **env_vars):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(ffdist.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]),
+        **env_vars)
+    proc = subprocess.run([sys.executable, "-m", "ffdist", *args],
+                          capture_output=True, cwd=cwd, env=env)
+    assert proc.returncode == 0, proc.stderr.decode()
+    return proc
+
+
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_output_matches_golden_bytes(name, tmp_path):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(Path(ffdist.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-m", "ffdist", *RUNS[name]],
-                          capture_output=True, cwd=tmp_path, env=env)
-    assert proc.returncode == 0, proc.stderr.decode()
+    proc = run_cli(RUNS[name], tmp_path)
     produced = tmp_path / name
     got = produced.read_bytes() if produced.exists() else proc.stdout
     assert got == (GOLDEN / name).read_bytes()
+
+
+def test_sweep_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # q = 257 transforms on pocketfft; the dense BLAS passes gave different
+    # cross_zero and sigma_bound bytes at one and two threads here.
+    args = ["sweep", "--q", "257", "--s", "2", "--sizes", "200x300", "--trials", "2",
+            "--seed", "5", "--lemma", "cross_zero,sigma_bound", "--out", "sweep.csv"]
+    outputs = []
+    for threads in ("1", "2"):
+        (tmp_path / threads).mkdir()
+        run_cli(args, tmp_path / threads, OPENBLAS_NUM_THREADS=threads)
+        outputs.append((tmp_path / threads / "sweep.csv").read_bytes())
+    assert outputs[0] == outputs[1]

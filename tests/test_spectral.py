@@ -248,3 +248,36 @@ class TestDftMatrix:
         plus = ctx.char_table[np.outer(x, x) % q]  # e(+x m / q)
         assert np.array_equal(W, ctx.char_table[np.outer(-x % q, x) % q])
         assert np.array_equal(W[-x % q], plus)
+
+
+class TestPocketfftBackend:
+    """Above spectral.DENSE_MAX_Q the transforms run on numpy's pocketfft."""
+
+    @pytest.mark.parametrize("complex_valued", (False, True))
+    def test_forward_matches_dense_passes_at_q157(self, complex_valued):
+        from ffdist import spectral
+        ctx = make_field(157)
+        g = random_grid(157, 2, seed=3, complex_valued=complex_valued).values
+        if not complex_valued:
+            g = g.real.copy()
+        got = forward_transform(ctx, GridFunction(q=157, s=2, values=g)).values
+        dense = spectral._axis_passes(spectral._dft_matrices(ctx), g) / 157 ** 2
+        assert got.shape == (157, 157)
+        assert np.max(np.abs(got - dense)) <= 1e-12
+
+    def test_inverse_matches_dense_passes_at_q157(self):
+        from ffdist import spectral
+        ctx = make_field(157)
+        F = random_grid(157, 2, seed=4).values
+        got = inverse_transform(ctx, Spectrum(q=157, s=2, values=F)).values
+        V = spectral._dft_matrices(ctx)[-np.arange(157) % 157]
+        assert np.max(np.abs(got - spectral._axis_passes(V, F))) <= 1e-10
+
+    @pytest.mark.parametrize("s", (1, 2, 3, 4))
+    @pytest.mark.parametrize("q", (3, 5, 7, 13))
+    def test_hermitian_fill_matches_fftn(self, q, s):
+        from ffdist import spectral
+        g = np.random.default_rng(10 * q + s).standard_normal((q,) * s)
+        full = spectral._hermitian_fill(np.fft.rfftn(g), q)
+        assert full.shape == (q,) * s
+        assert np.max(np.abs(full - np.fft.fftn(g))) <= 1e-12 * q ** s
