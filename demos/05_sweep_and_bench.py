@@ -9,7 +9,7 @@ across machines and runs.
 import tempfile
 from pathlib import Path
 
-from ffdist.sweep import SweepConfig, run_bench, run_sweep, bench_to_json
+from ffdist.sweep import SweepConfig, run_bench, run_sweep, bench_to_json, rows_to_csv
 
 with tempfile.TemporaryDirectory() as tmp:
     out = Path(tmp) / "sweep.csv"
@@ -20,9 +20,9 @@ with tempfile.TemporaryDirectory() as tmp:
         trials=2,
         seed=2024,
         checkers=["nu_spectral", "second_moment", "profile_product", "nu_zero"],
-        out=str(out),
     )
     rows, all_ok = run_sweep(cfg)
+    out.write_text(rows_to_csv(rows))
     print(f"sweep: {len(rows)} rows, all explicit checks pass: {all_ok}")
     print(f"CSV at {out} (removed on exit); first rows:\n")
     for line in out.read_text().splitlines()[:6]:
@@ -35,5 +35,6 @@ print(bench_to_json(report))
 
 print("equivalent CLI invocations:")
 print("  ffdist sweep --q 5,7,13 --s 2 --sizes 10x15,25x25 --trials 2 "
-      "--seed 2024 --lemma nu_spectral,second_moment --out sweep.csv")
-print("  ffdist bench --q 101 --s 2 --sizeE 2000 --sizeF 2000 --reps 3")
+      "--seed 2024 --lemma nu_spectral,second_moment,profile_product,nu_zero "
+      "--out sweep.csv")
+print("  ffdist bench --q 101 --s 2 --sizeE 2000 --sizeF 2000 --reps 3 --seed 7")

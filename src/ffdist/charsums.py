@@ -27,6 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import CapExceeded
 from .field import FieldContext, norm_squared
 
 
@@ -38,8 +39,11 @@ class GaussData:
 
 
 def inverse_multiples(ctx: FieldContext, b: Sequence[int] | np.ndarray) -> np.ndarray:
-    """Index table (b_i * t^-1) mod q, shape (len(b), q - 1), t = 1 .. q - 1."""
+    """Index table (b_i * t^-1) mod q, shape (len(b), q - 1), under ctx.grid_cap."""
     q = ctx.q
+    if len(b) * (q - 1) > ctx.grid_cap:
+        raise CapExceeded(f"character-sum table {len(b)} x {q - 1} = {len(b) * (q - 1)} "
+                          f"entries exceeds grid cap {ctx.grid_cap}")
     return (np.asarray(b, dtype=np.int64)[:, None] % q) * ctx.inv_table[1:][None, :] % q
 
 

@@ -7,8 +7,8 @@ Subcommands:
   bench     time nu_brute vs nu_spectral, emit a JSON report
   selftest  quick built-in identity suite
 
-Exit codes: 0 ok, 1 explicit-check failure, 2 usage/config error,
-3 cap exceeded.
+Exit codes: 0 ok, 1 explicit-check failure, 2 usage/config error or a
+path that cannot be read or written, 3 cap exceeded.
 """
 
 from __future__ import annotations
@@ -27,10 +27,9 @@ from .sweep import (
     parse_checkers,
     parse_int_list,
     parse_sizes,
-    row_to_csv,
+    rows_to_csv,
     run_bench,
     run_sweep,
-    CSV_HEADER,
 )
 
 EXIT_OK = 0
@@ -141,10 +140,10 @@ def _cmd_verify(args) -> int:
     )
     rows, all_ok = run_sweep(cfg)
     if args.format == "csv":
-        lines = [CSV_HEADER] + [row_to_csv(r) for r in rows]
+        text = rows_to_csv(rows)
     else:
-        lines = [r.report.to_json() for r in rows]
-    _emit("\n".join(lines) + "\n", args.out)
+        text = "\n".join(r.report.to_json() for r in rows) + "\n"
+    _emit(text, args.out)
     return EXIT_OK if all_ok else EXIT_CHECK_FAILED
 
 
@@ -155,10 +154,10 @@ def _cmd_sweep(args) -> int:
         size_pairs=parse_sizes(args.sizes),
         trials=args.trials, seed=args.seed,
         checkers=parse_checkers(args.lemma),
-        out=args.out,
         grid_cap=args.cap_grid, pair_cap=args.cap_pairs,
     )
     rows, all_ok = run_sweep(cfg)
+    _emit(rows_to_csv(rows), args.out)
     print(f"wrote {len(rows)} rows to {args.out}")
     return EXIT_OK if all_ok else EXIT_CHECK_FAILED
 
@@ -205,7 +204,7 @@ def main(argv=None) -> int:
     except CapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except FFDistError as exc:
+    except (FFDistError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

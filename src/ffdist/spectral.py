@@ -7,8 +7,8 @@ Conventions (pinned so every power of q downstream is literal):
     Plancherel:  sum_m |fhat(m)|^2 = q^(-s) * sum_x |f(x)|^2
 
 Grids are numpy arrays of shape (q,)*s in C order, which is exactly the
-radix-q row-major encoding of (x_1, ..., x_s).  The backend is chosen
-from q alone (DENSE_MAX_Q):
+radix-q row-major encoding of (x_1, ..., x_s).  The inverse always runs
+pocketfft; the forward backend is chosen from q alone (DENSE_MAX_Q):
 
   * q <= 151: s dense length-q passes, one per axis, each a matrix
     product against the cached q x q table.  Cost Theta(s * q^(s+1)).
@@ -35,7 +35,7 @@ from .field import FieldContext, check_grid_cap, norm_squared  # noqa: F401  (re
 # Every function here that builds a q**s grid first checks it against
 # ctx.grid_cap (field.check_grid_cap); the cached tables below stay uncapped.
 
-# Largest q transformed by the dense passes; above it pocketfft runs.
+# Largest q transformed forward by the dense passes; above it pocketfft runs.
 # Forward transform of a real 0/1 grid, 1 BLAS thread, 2-core host,
 # OpenBLAS 0.3.31, fft/dense time ratio (median of interleaved calls):
 #   s = 2: 1.44 at q = 101, 1.22 at 151, 0.60 at 199, 0.28 at 509, 0.19 at 1021
@@ -87,8 +87,7 @@ class Sphere:
 # its outer loop, so an older entry is never read again.
 @lru_cache(maxsize=1)
 def _dft_matrices(ctx: FieldContext) -> np.ndarray:
-    """W[x, m] = e(-x m / q); its row -x mod q is e(+x m / q), so W also serves
-    every inverse (e(+)) sum without a mirrored copy."""
+    """W[x, m] = e(-x m / q), the kernel of the dense forward passes."""
     q = ctx.q
     prod = np.outer(np.arange(q, dtype=np.int64), np.arange(q, dtype=np.int64)) % q
     return ctx.char_table[(-prod) % q]
@@ -157,11 +156,8 @@ def inverse_transform(ctx: FieldContext, F: Spectrum) -> GridFunction:
     if isinstance(F, GridFunction):
         raise TypeError("input is a space-domain GridFunction, not a Spectrum")
     check_grid_cap(ctx, F.s)
-    if ctx.q > DENSE_MAX_Q:
-        # norm="forward" leaves the inverse sum unscaled.
-        return GridFunction(q=ctx.q, s=F.s, values=np.fft.ifftn(F.values, norm="forward"))
-    V = _dft_matrices(ctx)[-np.arange(ctx.q) % ctx.q]  # V[x, m] = e(+x m / q)
-    return GridFunction(q=ctx.q, s=F.s, values=_axis_passes(V, F.values))
+    # norm="forward" leaves the inverse sum unscaled.
+    return GridFunction(q=ctx.q, s=F.s, values=np.fft.ifftn(F.values, norm="forward"))
 
 
 def plancherel_gap(ctx: FieldContext, f: GridFunction) -> float:

@@ -17,13 +17,12 @@ import json
 import statistics
 import time
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from .checks import CHECKERS, PER_FIELD, LemmaReport
-from .distance import DEFAULT_RESIDUAL_TOL, nu_brute, nu_spectral
+from .distance import DEFAULT_RESIDUAL_TOL, PointSet, nu_brute, nu_spectral
 from .errors import FFDistError, PairCapExceeded
 from .field import DEFAULT_GRID_CAP, DEFAULT_PAIR_CAP, FieldContext, check_grid_cap, make_field
 from .generators import GeneratorSpec, generate
@@ -44,7 +43,6 @@ class SweepConfig:
     trials: int
     seed: int
     checkers: list[str]
-    out: Optional[str] = None
     grid_cap: int = DEFAULT_GRID_CAP
     pair_cap: int = DEFAULT_PAIR_CAP
 
@@ -65,6 +63,14 @@ def trial_seed(master: int, q: int, s: int, trial: int, tag: str) -> int:
     """Stable 64-bit per-cell seed; independent of platform and run order."""
     text = f"{master}:{q}:{s}:{trial}:{tag}".encode()
     return int.from_bytes(hashlib.blake2b(text, digest_size=8).digest(), "big")
+
+
+def cell_sets(ctx: FieldContext, s: int, sizes: tuple[int, int], seed: int,
+              trial: int) -> tuple[PointSet, PointSet]:
+    """The seeded uniform random (E, F) of one sweep cell."""
+    return tuple(generate(ctx, s, GeneratorSpec("uniform_random", size=n,
+                                                seed=trial_seed(seed, ctx.q, s, trial, tag)))
+                 for n, tag in zip(sizes, "EF"))
 
 
 def validate_config(cfg: SweepConfig) -> dict[int, FieldContext]:
@@ -112,12 +118,7 @@ def iter_sweep(cfg: SweepConfig) -> Iterator[SweepRow]:
             per_field: dict[str, LemmaReport] = {}
             for ne, nf in cfg.size_pairs:
                 for trial in range(cfg.trials):
-                    E = generate(ctx, s, GeneratorSpec(
-                        "uniform_random", size=ne,
-                        seed=trial_seed(cfg.seed, q, s, trial, "E")))
-                    F = generate(ctx, s, GeneratorSpec(
-                        "uniform_random", size=nf,
-                        seed=trial_seed(cfg.seed, q, s, trial, "F")))
+                    E, F = cell_sets(ctx, s, (ne, nf), cfg.seed, trial)
                     for name in cfg.checkers:
                         report = per_field.get(name) or CHECKERS[name](ctx, E, F)
                         if name in PER_FIELD:
@@ -149,17 +150,18 @@ def row_to_csv(row: SweepRow) -> str:
     ])
 
 
+def rows_to_csv(rows: Sequence[SweepRow]) -> str:
+    """The CSV document: header, one line per row, trailing newline."""
+    return "\n".join([CSV_HEADER] + [row_to_csv(r) for r in rows]) + "\n"
+
+
 def run_sweep(cfg: SweepConfig) -> tuple[list[SweepRow], bool]:
-    """Execute the sweep, write CSV when cfg.out is set, report overall pass.
+    """Execute the sweep and report overall pass; no I/O.
 
     The boolean is False exactly when some explicit_pass came back False.
     """
     rows = run_verify(cfg)
-    all_ok = all(r.report.explicit_pass is not False for r in rows)
-    if cfg.out is not None:
-        text = "\n".join([CSV_HEADER] + [row_to_csv(r) for r in rows]) + "\n"
-        Path(cfg.out).write_text(text)
-    return rows, all_ok
+    return rows, all(r.report.explicit_pass is not False for r in rows)
 
 
 def run_bench(q: int, s: int, sizeE: int, sizeF: int, repetitions: int = 5,
@@ -175,10 +177,7 @@ def run_bench(q: int, s: int, sizeE: int, sizeF: int, repetitions: int = 5,
     if repetitions < 1:
         raise ConfigError("repetitions must be >= 1")
     ctx = make_field(q, grid_cap=grid_cap, pair_cap=pair_cap)
-    E = generate(ctx, s, GeneratorSpec("uniform_random", size=sizeE,
-                                       seed=trial_seed(seed, q, s, 0, "E")))
-    F = generate(ctx, s, GeneratorSpec("uniform_random", size=sizeF,
-                                       seed=trial_seed(seed, q, s, 0, "F")))
+    E, F = cell_sets(ctx, s, (sizeE, sizeF), seed, 0)
 
     t_spectral = []
     for _ in range(repetitions):

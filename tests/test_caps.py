@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from ffdist import distance, spectral
-from ffdist.checks import CHECKERS, check_nu_spectral
+from ffdist.checks import CHECKERS, check_nu_spectral, check_nu_zero_bound
 from ffdist.distance import (
     cross_profile,
     indicator_grid,
@@ -112,6 +112,17 @@ class TestGridCap:
         with pytest.raises(CapExceeded, match="exceeds grid cap 48"):
             CHECKERS[name](CAPPED, E, F)
         CHECKERS[name](make_field(7, grid_cap=49), E, F)
+
+    def test_character_sum_table_reads_the_cap(self):
+        # At s = 1 the q x (q - 1) table of the class values outgrows the q**s grid.
+        E1, F1 = random_set(13, 1, 5, 1), random_set(13, 1, 6, 2)
+        calls = (lambda ctx: check_nu_zero_bound(ctx, E1, F1),
+                 lambda ctx: sphere_spectrum(ctx, 1, 1, "closed_form"))
+        for call in calls:
+            with pytest.raises(CapExceeded, match="character-sum table 13 x 12 = 156 "
+                                                  "entries exceeds grid cap 155"):
+                call(make_field(13, grid_cap=155))
+            call(make_field(13, grid_cap=156))
 
     def test_cli_cap_grid_reaches_the_checkers(self):
         # 2053**2 = 4214809 is over the default cap of 2**22 = 4194304.

@@ -27,6 +27,7 @@ from ffdist.sweep import (
     parse_checkers,
     parse_int_list,
     parse_sizes,
+    rows_to_csv,
     run_bench,
     run_sweep,
     run_verify,
@@ -183,13 +184,11 @@ class TestSweep:
         assert trial_seed(0, 7, 2, 0, "E") != trial_seed(0, 7, 2, 0, "F")
         assert trial_seed(0, 7, 2, 0, "E") == 8797258151841333170
 
-    def test_rows_deterministic(self, tmp_path):
+    def test_rows_deterministic(self):
         cfg = dict(q_list=[3, 5], s_list=[2], size_pairs=[(4, 6)], trials=2,
                    seed=9, checkers=["profile_mass", "nu_spectral"])
-        a = run_sweep(SweepConfig(**cfg, out=str(tmp_path / "a.csv")))
-        b = run_sweep(SweepConfig(**cfg, out=str(tmp_path / "b.csv")))
-        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
-        rows, ok = a
+        rows, ok = run_sweep(SweepConfig(**cfg))
+        assert rows_to_csv(rows) == rows_to_csv(run_sweep(SweepConfig(**cfg))[0])
         assert ok
         assert len(rows) == 2 * 1 * 1 * 2 * 2  # q * s * sizes * trials * checkers
 
@@ -227,7 +226,7 @@ class TestSweep:
         with pytest.raises(ConfigError):
             parse_sizes("40:40")
 
-    def test_failing_check_reported(self, tmp_path, monkeypatch):
+    def test_failing_check_reported(self, monkeypatch):
         from ffdist import checks
         from ffdist.checks import LemmaReport
 
@@ -237,18 +236,16 @@ class TestSweep:
 
         monkeypatch.setitem(checks.CHECKERS, "profile_mass", always_fails)
         cfg = SweepConfig(q_list=[3], s_list=[2], size_pairs=[(2, 2)], trials=1,
-                          seed=0, checkers=["profile_mass"],
-                          out=str(tmp_path / "f.csv"))
+                          seed=0, checkers=["profile_mass"])
         rows, all_ok = run_sweep(cfg)
         assert not all_ok
-        assert "false" in (tmp_path / "f.csv").read_text().splitlines()[1]
+        assert "false" in rows_to_csv(rows).splitlines()[1]
 
-    def test_float_rendering_17_digits(self, tmp_path):
+    def test_float_rendering_17_digits(self):
         cfg = SweepConfig(q_list=[3], s_list=[2], size_pairs=[(6, 6)], trials=1,
-                          seed=0, checkers=["profile_mass"],
-                          out=str(tmp_path / "r.csv"))
+                          seed=0, checkers=["profile_mass"])
         rows, _ = run_sweep(cfg)
-        row = (tmp_path / "r.csv").read_text().splitlines()[1]
+        row = rows_to_csv(rows).splitlines()[1]
         lhs = row.split(",")[8]
         assert lhs == format(rows[0].report.lhs, ".17g")
         assert len(lhs.replace("0.", "")) == 17  # 6/9 at 17 significant digits
@@ -353,6 +350,35 @@ class TestCLI:
         lines = proc.stdout.splitlines()
         assert lines[0].startswith("lemma_id,q,s,")
         assert lines[1].startswith("profile_mass,5,2,4,4,0,2,true,")
+
+    def test_verify_csv_is_the_sweep_csv(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        proc = cli("sweep", "--q", "7", "--s", "2", "--sizes", "20x30", "--trials", "2",
+                   "--seed", "5", "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        proc = cli("verify", "--q", "7", "--s", "2", "--sizeE", "20", "--sizeF", "30",
+                   "--trials", "2", "--seed", "5", "--format", "csv")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.encode() == out.read_bytes()
+
+    @pytest.mark.parametrize("args", [
+        ("gen", "--q", "5", "--s", "2", "--size", "3", "--out", "{missing}/E.txt"),
+        ("gen", "--q", "5", "--s", "2", "--kind", "from_file", "--in-file", "{missing}/E.txt",
+         "--out", "{tmp}/E.txt"),
+        ("verify", "--q", "5", "--s", "2", "--sizeE", "3", "--sizeF", "3",
+         "--lemma", "profile_mass", "--out", "{missing}/v.json"),
+        ("sweep", "--q", "5", "--s", "2", "--sizes", "3x3", "--lemma", "profile_mass",
+         "--out", "{missing}/s.csv"),
+        ("bench", "--q", "5", "--s", "2", "--sizeE", "3", "--sizeF", "3", "--reps", "1",
+         "--out", "{missing}/b.json"),
+    ], ids=["gen-out", "gen-in-file", "verify", "sweep", "bench"])
+    def test_unusable_path_exit_2(self, tmp_path, args):
+        paths = {"missing": str(tmp_path / "missing"), "tmp": str(tmp_path)}
+        proc = cli(*(a.format(**paths) for a in args))
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_sweep_byte_identical(self, tmp_path):
         args = ("sweep", "--q", "3,5", "--s", "2", "--sizes", "4x6",

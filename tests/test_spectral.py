@@ -251,7 +251,8 @@ class TestDftMatrix:
 
 
 class TestPocketfftBackend:
-    """Above spectral.DENSE_MAX_Q the transforms run on numpy's pocketfft."""
+    """Above spectral.DENSE_MAX_Q the forward transform runs on numpy's pocketfft;
+    the inverse runs on it at every q."""
 
     @pytest.mark.parametrize("complex_valued", (False, True))
     def test_forward_matches_dense_passes_at_q157(self, complex_valued):
@@ -265,12 +266,14 @@ class TestPocketfftBackend:
         assert got.shape == (157, 157)
         assert np.max(np.abs(got - dense)) <= 1e-12
 
-    def test_inverse_matches_dense_passes_at_q157(self):
+    @pytest.mark.parametrize("q", (13, 151, 157))
+    def test_inverse_matches_dense_passes(self, q):
+        # The inverse runs pocketfft at every q, on both sides of DENSE_MAX_Q.
         from ffdist import spectral
-        ctx = make_field(157)
-        F = random_grid(157, 2, seed=4).values
-        got = inverse_transform(ctx, Spectrum(q=157, s=2, values=F)).values
-        V = spectral._dft_matrices(ctx)[-np.arange(157) % 157]
+        ctx = make_field(q)
+        F = random_grid(q, 2, seed=4).values
+        got = inverse_transform(ctx, Spectrum(q=q, s=2, values=F)).values
+        V = spectral._dft_matrices(ctx)[-np.arange(q) % q]
         assert np.max(np.abs(got - spectral._axis_passes(V, F))) <= 1e-10
 
     @pytest.mark.parametrize("s", (1, 2, 3, 4))
