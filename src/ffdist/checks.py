@@ -65,11 +65,8 @@ class LemmaReport:
     measured_constant: Optional[float] = None
     notes: str = ""
 
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), allow_nan=False, sort_keys=False)
+        return json.dumps(asdict(self), allow_nan=False, sort_keys=False)
 
 
 @dataclass
@@ -105,7 +102,7 @@ class Instance:
                                                         spectra=(self.ehat, self.fhat)))
     brute = cached_property(lambda self: nu_brute(self.E, self.F, pair_cap=self.ctx.pair_cap))
     spectral = cached_property(lambda self: nu_spectral(self.ctx, self.E, self.F,
-                                                        spectra=(self.ehat, self.fhat)))
+                                                        cross=self.sig_ef))
 
 
 _last: Optional[Instance] = None
@@ -117,6 +114,12 @@ def instance(ctx: FieldContext, E: PointSet, F: PointSet) -> Instance:
     if _last is None or _last.ctx is not ctx or _last.E is not E or _last.F is not F:
         _last = Instance(ctx, E, F)
     return _last
+
+
+def release() -> None:
+    """Drop the memoised Instance, and with it the cell's spectra."""
+    global _last
+    _last = None
 
 
 def check_profile_mass(ctx: FieldContext, E: PointSet) -> LemmaReport:

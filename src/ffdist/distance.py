@@ -38,6 +38,7 @@ from .errors import (
     FieldMismatch,
     PairCapExceeded,
     RoundingDrift,
+    UnindexableSpace,
 )
 from .field import DEFAULT_PAIR_CAP, FieldContext, check_grid_cap
 from .spectral import GridFunction, Spectrum, forward_transform, norm_grid
@@ -60,6 +61,14 @@ class PointSet:
     def radix_indices(self) -> np.ndarray:
         """Row-major flat index of every point; sorted ascending."""
         return np.ravel_multi_index(self.points.T, (self.q,) * self.s)
+
+
+def check_indexable(q: int, s: int) -> None:
+    """Raise UnindexableSpace unless s >= 1 and every point of F_q^s has an int64 radix index."""
+    if s < 1:
+        raise UnindexableSpace(f"dimension s = {s} must be >= 1")
+    if q ** s > 2 ** 63 - 1:
+        raise UnindexableSpace(f"q**s = {q}**{s} exceeds the int64 radix index range 2**63 - 1")
 
 
 def make_point_set(q: int, s: int, points: Iterable[Sequence[int]]) -> PointSet:
@@ -86,12 +95,10 @@ def sorted_point_set(q: int, s: int, pts: np.ndarray) -> PointSet:
 
 @dataclass(frozen=True, eq=False)
 class DistanceDistribution:
-    """nu[j] for j in F_q, as exact integers, plus the set sizes."""
+    """nu[j] for j in F_q, as exact integers."""
 
     q: int
     nu: np.ndarray  # int64, length q, nonnegative
-    sizeE: int
-    sizeF: int
     residual: float = 0.0  # max distance of the counts from integers before rounding
 
 
@@ -144,42 +151,38 @@ def nu_brute(E: PointSet, F: PointSet,
         diff = (E.points[lo:lo + block, None, :] - F.points[None, :, :]) % q
         norms = (diff * diff).sum(axis=2) % q
         nu += np.bincount(norms.ravel(), minlength=q)
-    return DistanceDistribution(q=q, nu=nu, sizeE=E.size, sizeF=F.size)
+    return DistanceDistribution(q=q, nu=nu)
 
 
 def nu_spectral(ctx: FieldContext, E: PointSet, F: PointSet,
-                residual_tol: float = DEFAULT_RESIDUAL_TOL,
-                spectra: tuple[Spectrum, Spectrum] | None = None,
-                ) -> DistanceDistribution:
+                cross: SphericalProfile | None = None) -> DistanceDistribution:
     """All q counts nu(j) from the identity
 
         nu(j) = q^(2s) * sum_m Shat_j(m) conj(Ehat(m)) Fhat(m).
 
-    The cross-spectrum A = conj(Ehat) * Fhat is bucketed by |m|^2 once;
-    because Shat_j(m) depends on m only through |m|^2, the remaining
-    j-dependence is a single length-q character sum, and both length-q
-    sums below are unnormalised inverse FFTs: O(q log q) for all j after
-    two transforms.  Counts are rounded to integers and the
-    pre-rounding residual is gated at residual_tol (RoundingDrift).
+    The cross-spectrum conj(Ehat) * Fhat is bucketed by |m|^2 once (the
+    cross profile sigma_EF); because Shat_j(m) depends on m only through
+    |m|^2, the remaining j-dependence is a single length-q character sum,
+    and both length-q sums below are unnormalised inverse FFTs: O(q log q)
+    for all j after two transforms.  Counts are rounded to integers and
+    the pre-rounding residual is gated at DEFAULT_RESIDUAL_TOL
+    (RoundingDrift).
 
-    Pass spectra=(Ehat, Fhat) to reuse transforms computed elsewhere.
+    Pass cross=cross_profile(ctx, E, F) to reuse a profile computed
+    elsewhere; it is read, never written.
     """
     _require_same_field(E, F)
     q, s = E.q, E.s
-    if spectra is None:
-        spectra = (set_spectrum(ctx, E), set_spectrum(ctx, F))
-    G_star = cross_profile(ctx, E, F, spectra=spectra).values
-    # m = 0 sits at radix index 0 in the w = 0 bucket.
-    A0 = complex(np.conj(spectra[0].values.flat[0]) * spectra[1].values.flat[0])
-    G_star[0] -= A0
+    if cross is None:
+        cross = cross_profile(ctx, E, F)
 
-    # H[k] = h[inv(4) * inv(k)] for k in F_q^*, h[n] = sum_w G_star[w] e(w n / q);
+    # B[k] = h[inv(4) * inv(k)] for k in F_q^*, h[n] = sum_w sigma_EF(w) e(w n / q);
     # norm="forward" leaves ifft as the unscaled e(+) sum.
-    h = np.fft.ifft(G_star, norm="forward")
-    H = h[charsums.inverse_multiples(ctx, [ctx.inv_table[4 % q]])[0]]
-
+    # m = 0 needs no split: the 1/q part of Shat_j(0) = 1/q + (class value at w = 0)
+    # gives q^(2s) conj(Ehat(0)) Fhat(0) / q = #E #F / q, the first term of raw.
+    h = np.fft.ifft(cross.values, norm="forward")
     B = np.zeros(q, dtype=np.complex128)  # B[0] = 0: the sum runs over k != 0
-    B[1:] = A0 + H
+    B[1:] = h[charsums.inverse_multiples(ctx, [ctx.inv_table[4 % q]])[0]]
     if s % 2 == 1:
         B[1:] *= ctx.eta_table[1:]
     # dft[j] = sum_{k != 0} e(j k / q) B[k].
@@ -189,13 +192,12 @@ def nu_spectral(ctx: FieldContext, E: PointSet, F: PointSet,
         + q ** (1.5 * s - 1) * charsums.sphere_unit(ctx, s) * dft
     rounded = np.rint(raw.real)
     residual = float(np.max(np.abs(raw - rounded)))
-    if residual > residual_tol:
+    if residual > DEFAULT_RESIDUAL_TOL:
         raise RoundingDrift(
             f"spectral counts are {residual:.3e} from integers "
-            f"(tolerance {residual_tol:.1e}); reduce q**s"
+            f"(tolerance {DEFAULT_RESIDUAL_TOL:.1e}); reduce q**s"
         )
-    return DistanceDistribution(q=q, nu=rounded.astype(np.int64),
-                                sizeE=E.size, sizeF=F.size, residual=residual)
+    return DistanceDistribution(q=q, nu=rounded.astype(np.int64), residual=residual)
 
 
 def distance_set(dist: DistanceDistribution) -> set[int]:

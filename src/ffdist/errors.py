@@ -84,5 +84,9 @@ class DuplicatePoint(FFDistError):
         self.row = row
 
 
+class UnindexableSpace(FFDistError):
+    """F_q^s has s < 1 or more than 2**63 - 1 points, past int64 radix indices."""
+
+
 class CoordinateOutOfRange(FFDistError):
     """A file coordinate lies outside [0, q)."""

@@ -133,42 +133,14 @@ def quadratic_character(ctx: FieldContext, a: int) -> int:
 def sqrt_mod(ctx: FieldContext, a: int) -> Optional[int]:
     """Canonical square root of a mod q, or None when a is a nonsquare.
 
-    Canonical means the numerically smaller of the two roots.  Uses the
-    direct exponent for q = 3 mod 4 and Tonelli-Shanks otherwise.
+    Canonical means the numerically smaller of the two roots, which an
+    O(q) scan from 0 meets first.
     """
-    q = ctx.q
-    a = a % q
-    if a == 0:
-        return 0
+    a = a % ctx.q
     if ctx.eta_table[a] == -1:
         return None
-
-    if q % 4 == 3:
-        r = pow(a, (q + 1) // 4, q)
-    else:
-        # Tonelli-Shanks: write q - 1 = d * 2^e with d odd.
-        d, e = q - 1, 0
-        while d % 2 == 0:
-            d //= 2
-            e += 1
-        z = 2
-        while ctx.eta_table[z] != -1:
-            z += 1
-        c = pow(z, d, q)
-        r = pow(a, (d + 1) // 2, q)
-        t = pow(a, d, q)
-        m = e
-        while t != 1:
-            t2i, i = t, 0
-            while t2i != 1:
-                t2i = (t2i * t2i) % q
-                i += 1
-            b = pow(c, 1 << (m - i - 1), q)
-            r = (r * b) % q
-            c = (b * b) % q
-            t = (t * c) % q
-            m = i
-    return min(r, q - r)
+    x = np.arange(ctx.q, dtype=np.int64)
+    return int(np.argmax(x * x % ctx.q == a))
 
 
 def norm_squared(ctx: FieldContext, x: Sequence[int]) -> int:

@@ -12,7 +12,7 @@ from typing import Any, Optional
 
 import numpy as np
 
-from .distance import PointSet, sorted_point_set
+from .distance import PointSet, check_indexable, sorted_point_set
 from .errors import BadGenerator, FieldMismatch, SizeTooLarge
 from .field import FieldContext, sqrt_mod
 from .spectral import enumerate_sphere
@@ -43,6 +43,7 @@ def _decode(flat: np.ndarray, q: int, s: int) -> np.ndarray:
 def generate(ctx: FieldContext, s: int, spec: GeneratorSpec) -> PointSet:
     """Materialize a point set in F_q^s from a generator spec."""
     q = ctx.q
+    check_indexable(q, s)
     if spec.kind == "uniform_random":
         if spec.size is None or spec.size < 1:
             raise BadGenerator("uniform_random needs a positive size")

@@ -11,8 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .distance import PointSet, sorted_point_set
-from .errors import CoordinateOutOfRange, DuplicatePoint, ParseError
+from .distance import PointSet, check_indexable, sorted_point_set
+from .errors import CoordinateOutOfRange, DuplicatePoint, ParseError, UnindexableSpace
 
 
 def read_pointset(path) -> PointSet:
@@ -28,6 +28,10 @@ def read_pointset(path) -> PointSet:
         raise ParseError(f"{path}:1: header must be three integers") from None
     if q < 3 or s < 1 or n < 1:
         raise ParseError(f"{path}:1: need q >= 3, s >= 1, n >= 1")
+    try:
+        check_indexable(q, s)
+    except UnindexableSpace as exc:
+        raise ParseError(f"{path}:1: {exc}") from None
     if len(lines) < n + 1:
         raise ParseError(f"{path}: expected {n} point lines, found {len(lines) - 1}")
 

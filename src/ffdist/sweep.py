@@ -21,7 +21,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .checks import CHECKERS, PER_FIELD, LemmaReport
+from .checks import CHECKERS, PER_FIELD, LemmaReport, release
 from .distance import DEFAULT_RESIDUAL_TOL, PointSet, nu_brute, nu_spectral
 from .errors import FFDistError, PairCapExceeded
 from .field import DEFAULT_GRID_CAP, DEFAULT_PAIR_CAP, FieldContext, check_grid_cap, make_field
@@ -110,22 +110,26 @@ def validate_config(cfg: SweepConfig) -> dict[int, FieldContext]:
 
 
 def iter_sweep(cfg: SweepConfig) -> Iterator[SweepRow]:
-    """Run the sweep in deterministic configuration order."""
+    """Run the sweep in deterministic configuration order; the last cell's
+    Instance is released when the sweep ends or is abandoned."""
     contexts = validate_config(cfg)
-    for q in cfg.q_list:
-        ctx = contexts[q]
-        for s in cfg.s_list:
-            per_field: dict[str, LemmaReport] = {}
-            for ne, nf in cfg.size_pairs:
-                for trial in range(cfg.trials):
-                    E, F = cell_sets(ctx, s, (ne, nf), cfg.seed, trial)
-                    for name in cfg.checkers:
-                        report = per_field.get(name) or CHECKERS[name](ctx, E, F)
-                        if name in PER_FIELD:
-                            per_field[name] = report
-                        yield SweepRow(lemma_id=report.lemma_id, q=q, s=s,
-                                       sizeE=ne, sizeF=nf, trial=trial,
-                                       seed=cfg.seed, report=report)
+    try:
+        for q in cfg.q_list:
+            ctx = contexts[q]
+            for s in cfg.s_list:
+                per_field: dict[str, LemmaReport] = {}
+                for ne, nf in cfg.size_pairs:
+                    for trial in range(cfg.trials):
+                        E, F = cell_sets(ctx, s, (ne, nf), cfg.seed, trial)
+                        for name in cfg.checkers:
+                            report = per_field.get(name) or CHECKERS[name](ctx, E, F)
+                            if name in PER_FIELD:
+                                per_field[name] = report
+                            yield SweepRow(lemma_id=report.lemma_id, q=q, s=s,
+                                           sizeE=ne, sizeF=nf, trial=trial,
+                                           seed=cfg.seed, report=report)
+    finally:
+        release()
 
 
 def run_verify(cfg: SweepConfig) -> list[SweepRow]:

@@ -80,13 +80,13 @@ def identity_battery(ctx, E, F):
 
     # nu: spectral equals brute exactly, total mass exact
     brute = nu_brute(E, F)
-    spectral = nu_spectral(ctx, E, F, spectra=(Ehat, Fhat))  # residual gated at 1e-6
+    cp = cross_profile(ctx, E, F, spectra=(Ehat, Fhat))
+    spectral = nu_spectral(ctx, E, F, cross=cp)  # residual gated at 1e-6
     assert np.array_equal(brute.nu, spectral.nu)
     assert int(brute.nu.sum()) == E.size * F.size
     assert int(spectral.nu.sum()) == E.size * F.size
 
     # second-moment identity, 1e-8 relative
-    cp = cross_profile(ctx, E, F, spectra=(Ehat, Fhat))
     inter = intersection_count(E, F)
     lhs = float((brute.nu.astype(np.float64) ** 2).sum())
     rhs = (E.size * F.size) ** 2 / q \

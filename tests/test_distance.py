@@ -135,8 +135,8 @@ class TestNuSpectral:
     def test_spectra_reuse_gives_same_result(self, contexts):
         ctx = contexts[13]
         E, F = random_set(13, 2, 25, 5), random_set(13, 2, 30, 6)
-        pre = (set_spectrum(ctx, E), set_spectrum(ctx, F))
-        assert np.array_equal(nu_spectral(ctx, E, F, spectra=pre).nu,
+        pre = cross_profile(ctx, E, F)
+        assert np.array_equal(nu_spectral(ctx, E, F, cross=pre).nu,
                               nu_spectral(ctx, E, F).nu)
 
     def test_residual_is_exposed(self, contexts):
@@ -144,11 +144,13 @@ class TestNuSpectral:
         assert 0.0 <= nu_spectral(contexts[13], E, F).residual <= 1e-6
         assert nu_brute(E, F).residual == 0.0
 
-    def test_drift_gate_trips_on_absurd_tolerance(self, contexts):
+    def test_drift_gate_trips_on_absurd_tolerance(self, contexts, monkeypatch):
+        from ffdist import distance
         from ffdist.errors import RoundingDrift
         E, F = random_set(13, 2, 25, 5), random_set(13, 2, 30, 6)
+        monkeypatch.setattr(distance, "DEFAULT_RESIDUAL_TOL", 1e-30)
         with pytest.raises(RoundingDrift):
-            nu_spectral(contexts[13], E, F, residual_tol=1e-30)
+            nu_spectral(contexts[13], E, F)
 
 
 class TestDistanceSet:

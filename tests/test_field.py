@@ -111,9 +111,9 @@ class TestSqrtMod:
         assert {(r * r) % 7 for r in range(7)} == {0, 1, 2, 4}
         assert sqrt_mod(contexts[7], 3) is None
 
-    @pytest.mark.parametrize("q", PRIMES_TO_31)
-    def test_exhaustive(self, contexts, q):
-        ctx = contexts[q]
+    @pytest.mark.parametrize("q", PRIMES_TO_31 + (257, 1009))
+    def test_exhaustive(self, q):
+        ctx = make_field(q)
         for a in range(q):
             r = sqrt_mod(ctx, a)
             if quadratic_character(ctx, a) == -1:

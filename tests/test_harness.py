@@ -380,6 +380,26 @@ class TestCLI:
         assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("args", [
+        ("gen", "--q", "13", "--s", "0", "--size", "1"),
+        ("bench", "--q", "13", "--s", "0", "--sizeE", "1", "--sizeF", "1"),
+        ("gen", "--q", "101", "--s", "10", "--size", "10"),
+        ("gen", "--q", "101", "--s", "10", "--kind", "product_interval",
+         "--lengths", "1,1,1,1,1,1,1,1,1,2"),
+        ("gen", "--q", "13", "--s", "2", "--kind", "from_file", "--in-file", "{big}"),
+    ], ids=["gen-s0", "bench-s0", "gen-q101-s10", "product-interval-s10", "file-s10"])
+    def test_unindexable_space_exit_2(self, tmp_path, args):
+        big = tmp_path / "big.txt"
+        big.write_text("101 10 1\n" + " ".join(["0"] * 10) + "\n")
+        out = tmp_path / "x.txt"
+        extra = ("--out", str(out)) if args[0] == "gen" else ()
+        proc = cli(*(a.format(big=big) for a in args), *extra)
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
     def test_sweep_byte_identical(self, tmp_path):
         args = ("sweep", "--q", "3,5", "--s", "2", "--sizes", "4x6",
                 "--trials", "2", "--seed", "11", "--lemma",

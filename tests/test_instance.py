@@ -6,6 +6,9 @@ work is done once per cell, and every report is the same as a direct
 checker call on fresh copies of the sets.
 """
 
+import gc
+import weakref
+
 import pytest
 
 from ffdist import checks, distance, sweep
@@ -83,6 +86,39 @@ class TestComputeOnce:
         assert all(r.report.explicit_pass is not False for r in rows)
         assert len(brute) == 1
         assert len(spectra) == 2
+
+    def test_one_cross_bucketing_per_cell(self, monkeypatch):
+        crosses = counting(monkeypatch, checks, "cross_profile")
+        # nu_spectral bucketing its own cross profile would show here.
+        monkeypatch.setattr(distance, "cross_profile", checks.cross_profile)
+        cfg = SweepConfig(q_list=[7], s_list=[3], size_pairs=[(20, 21)],
+                          trials=1, seed=4, checkers=sorted(CHECKERS))
+        assert len(run_verify(cfg)) == 11
+        assert len(crosses) == 1
+
+    def test_nu_spectral_leaves_the_shared_profile_alone(self, contexts):
+        ctx = contexts[13]
+        inst = instance(ctx, random_set(13, 2, 40, 8), random_set(13, 2, 35, 9))
+        before = inst.sig_ef.values.copy()
+        inst.spectral
+        assert before.tobytes() == inst.sig_ef.values.tobytes()
+
+    def test_sweep_releases_the_last_cell(self, monkeypatch):
+        made = []
+        original = checks.set_spectrum
+
+        def recorded(*args):
+            spectrum = original(*args)
+            made.extend([weakref.ref(spectrum), weakref.ref(spectrum.values)])
+            return spectrum
+
+        monkeypatch.setattr(checks, "set_spectrum", recorded)
+        cfg = SweepConfig(q_list=[7], s_list=[2, 3], size_pairs=[(20, 21)],
+                          trials=2, seed=4, checkers=sorted(CHECKERS))
+        run_verify(cfg)
+        gc.collect()
+        assert len(made) == 16
+        assert all(ref() is None for ref in made)
 
     def test_memo_is_keyed_on_object_identity(self, contexts):
         ctx = contexts[7]
