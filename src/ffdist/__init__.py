@@ -13,7 +13,6 @@ from .charsums import GaussData, gauss_data, kloosterman, salie, sphere_fourier_
 from .spectral import (
     GridFunction,
     Spectrum,
-    Sphere,
     norm_squared,
     forward_transform,
     inverse_transform,
@@ -25,7 +24,6 @@ from .spectral import (
 from .distance import (
     PointSet,
     DistanceDistribution,
-    SphericalProfile,
     make_point_set,
     set_spectrum,
     nu_brute,

@@ -43,7 +43,6 @@ from .distance import (
     nu_spectral,
     set_spectrum,
     spherical_profile,
-    SphericalProfile,
 )
 from .field import FieldContext
 from .spectral import norm_grid, sphere_spectrum
@@ -78,13 +77,10 @@ class DyadicDecomposition:
     it is floor mass bounded by q^(1-4s).
     """
 
-    q: int
-    s: int
     levels: list[tuple[int, float, int]]  # (i, T_i, member count)
     chosen_level: Optional[int]
     M: np.ndarray          # members r of the chosen level
     A: float               # 2^(chosen-1); 0.0 when every level is empty
-    floor: float           # q^(-4s)
     product_sum: float     # sum over r != 0 of sigma_E(r) sigma_F(r)
 
 
@@ -127,8 +123,8 @@ def check_profile_mass(ctx: FieldContext, E: PointSet) -> LemmaReport:
     return _profile_mass(E, spherical_profile(ctx, E))
 
 
-def _profile_mass(E: PointSet, prof: SphericalProfile) -> LemmaReport:
-    lhs = float(prof.values.sum())
+def _profile_mass(E: PointSet, sigma: np.ndarray) -> LemmaReport:
+    lhs = float(sigma.sum())
     rhs = E.size / E.q ** E.s
     gap = abs(lhs - rhs)
     return LemmaReport(
@@ -168,7 +164,7 @@ def check_nu_zero_bound(ctx: FieldContext, E: PointSet, F: PointSet) -> LemmaRep
 
     inst = instance(ctx, E, F)
     _, by_class = charsums.sphere_class_values(ctx, s, 0)
-    G = inst.sig_ef.values.copy()
+    G = inst.sig_ef.copy()
     G[0] -= np.conj(inst.ehat.values.flat[0]) * inst.fhat.values.flat[0]  # drop m = 0
     delta = q ** (2 * s) * complex(np.dot(by_class, G))
     delta_cap = q ** (s / 2) * math.sqrt(mass)
@@ -213,8 +209,8 @@ def check_second_moment(ctx: FieldContext, E: PointSet, F: PointSet) -> LemmaRep
     inst = instance(ctx, E, F)
     lhs = float((inst.brute.nu.astype(np.float64) ** 2).sum())
 
-    cross_sq = np.abs(inst.sig_ef.values) ** 2
-    prod = inst.sig_e.values * inst.sig_f.values
+    cross_sq = np.abs(inst.sig_ef) ** 2
+    prod = inst.sig_e * inst.sig_f
 
     terms = {
         "mass_sq_over_q": mass * mass / q,
@@ -263,7 +259,7 @@ def check_cross_zero(ctx: FieldContext, E: PointSet, F: PointSet) -> LemmaReport
 
     inst = instance(ctx, E, F)
     nu0 = int(inst.spectral.nu[0])
-    lhs = float(np.abs(inst.sig_ef.values[0]) ** 2)
+    lhs = float(np.abs(inst.sig_ef[0]) ** 2)
     main = q ** (-3 * s) * float(nu0) ** 2
     measured = abs(lhs - main) * q ** (3 * s + 1) / (mass * mass)
     return LemmaReport(
@@ -285,7 +281,7 @@ def check_profile_product(ctx: FieldContext, E: PointSet, F: PointSet) -> LemmaR
     envelope log q * q^(-5) (#E)^(3/2) #F is also measured.
     """
     inst = instance(ctx, E, F)
-    prod = inst.sig_e.values * inst.sig_f.values  # symmetric in E and F
+    prod = inst.sig_e * inst.sig_f  # symmetric in E and F
     if E.size > F.size:
         E, F = F, E
     q, s = E.q, E.s
@@ -321,9 +317,8 @@ def check_sigma_bound(ctx: FieldContext, E: PointSet) -> LemmaReport:
     return _sigma_bound(E, spherical_profile(ctx, E))
 
 
-def _sigma_bound(E: PointSet, prof: SphericalProfile) -> LemmaReport:
+def _sigma_bound(E: PointSet, sig: np.ndarray) -> LemmaReport:
     q, s = E.q, E.s
-    sig = prof.values
     checked = sig if s % 2 == 1 else sig[1:]
     bound = 2 * q ** (-s - 1) * E.size + 2 * q ** (-(3 * s + 1) / 2) * E.size ** 2
     worst = float(checked.max())
@@ -401,23 +396,21 @@ def check_sphere_bounds(ctx: FieldContext, s: int) -> LemmaReport:
     )
 
 
-def dyadic_decompose(profile: SphericalProfile,
-                     companion: SphericalProfile) -> DyadicDecomposition:
-    """Split F_q^* by the dyadic size of profile(r) and locate the top level.
+def dyadic_decompose(sigma: np.ndarray, companion: np.ndarray, s: int) -> DyadicDecomposition:
+    """Split F_q^* by the dyadic size of sigma(r) and locate the top level.
 
-    T_i sums companion(r) * profile(r) over the r in level i.  Members
-    with profile(r) below the q^(-4s) floor are left to the floor term;
-    the pigeonhole inequality
-        sum_{r != 0} companion * profile <= q^(1-4s) + n_levels * max_i T_i
+    sigma and companion are real single-set profiles over F_q^s.  T_i
+    sums companion(r) * sigma(r) over the r in level i.  Members with
+    sigma(r) below the q^(-4s) floor are left to the floor term; the
+    pigeonhole inequality
+        sum_{r != 0} companion * sigma <= q^(1-4s) + n_levels * max_i T_i
     is what the caller checks.
     """
-    if profile.kind != "single_set" or companion.kind != "single_set":
+    if np.iscomplexobj(sigma) or np.iscomplexobj(companion):
         raise ValueError("dyadic decomposition expects single-set profiles")
-    q, s = profile.q, profile.s
-    sigma = profile.values
-    weight = companion.values * sigma
+    q = len(sigma)
+    weight = companion * sigma
     i_min = math.ceil(-4 * s * math.log2(q))
-    floor = q ** (-4.0 * s)
 
     members: dict[int, list[int]] = {i: [] for i in range(i_min, 1)}
     for r in range(1, q):
@@ -438,8 +431,8 @@ def dyadic_decompose(profile: SphericalProfile,
         A = 2.0 ** (chosen - 1)
     else:
         chosen, M, A = None, np.array([], dtype=np.int64), 0.0
-    return DyadicDecomposition(q=q, s=s, levels=levels, chosen_level=chosen,
-                               M=M, A=A, floor=floor, product_sum=product_sum)
+    return DyadicDecomposition(levels=levels, chosen_level=chosen, M=M, A=A,
+                               product_sum=product_sum)
 
 
 def check_dyadic(ctx: FieldContext, E: PointSet, F: PointSet) -> LemmaReport:
@@ -453,7 +446,7 @@ def check_dyadic(ctx: FieldContext, E: PointSet, F: PointSet) -> LemmaReport:
     """
     q, s = E.q, E.s
     inst = instance(ctx, E, F)
-    dec = dyadic_decompose(inst.sig_f, inst.sig_e)
+    dec = dyadic_decompose(inst.sig_f, inst.sig_e, s)
 
     n_levels = len(dec.levels)
     max_t = max((t for _, t, _ in dec.levels), default=0.0)
@@ -461,7 +454,7 @@ def check_dyadic(ctx: FieldContext, E: PointSet, F: PointSet) -> LemmaReport:
     ok = dec.product_sum <= pigeonhole_rhs * (1 + 1e-9) + _SLACK
 
     if dec.chosen_level is not None and dec.M.size:
-        on_m = inst.sig_f.values[dec.M]
+        on_m = inst.sig_f[dec.M]
         ok &= bool(np.all(on_m >= dec.A * (1 - 1e-9)))
         ok &= bool(np.all(on_m <= 2 * dec.A * (1 + 1e-9)))
         ok &= bool((on_m ** 2).sum() <= 4 * dec.M.size * dec.A ** 2 * (1 + 1e-9))

@@ -13,7 +13,7 @@ The spectral counts must round back to the brute-force integers; a
 residual above 1e-6 raises RoundingDrift instead of returning drifted
 values.
 
-Spherical averages:
+Spherical averages, each a length-q array indexed by r:
 
     sigma_E(r)   = sum_{|a|^2 = r} |Ehat(a)|^2          (real, in [0, 1])
     sigma_EF(r)  = sum_{|m|^2 = r} conj(Ehat(m)) Fhat(m)  (complex)
@@ -97,19 +97,8 @@ def sorted_point_set(q: int, s: int, pts: np.ndarray) -> PointSet:
 class DistanceDistribution:
     """nu[j] for j in F_q, as exact integers."""
 
-    q: int
     nu: np.ndarray  # int64, length q, nonnegative
     residual: float = 0.0  # max distance of the counts from integers before rounding
-
-
-@dataclass(frozen=True, eq=False)
-class SphericalProfile:
-    """Values indexed by r in F_q; kind 'single_set' is real, 'cross' complex."""
-
-    kind: str  # "single_set" | "cross"
-    q: int
-    s: int
-    values: np.ndarray
 
 
 def _require_same_field(E: PointSet, F: PointSet) -> None:
@@ -151,11 +140,11 @@ def nu_brute(E: PointSet, F: PointSet,
         diff = (E.points[lo:lo + block, None, :] - F.points[None, :, :]) % q
         norms = (diff * diff).sum(axis=2) % q
         nu += np.bincount(norms.ravel(), minlength=q)
-    return DistanceDistribution(q=q, nu=nu)
+    return DistanceDistribution(nu=nu)
 
 
 def nu_spectral(ctx: FieldContext, E: PointSet, F: PointSet,
-                cross: SphericalProfile | None = None) -> DistanceDistribution:
+                cross: np.ndarray | None = None) -> DistanceDistribution:
     """All q counts nu(j) from the identity
 
         nu(j) = q^(2s) * sum_m Shat_j(m) conj(Ehat(m)) Fhat(m).
@@ -180,7 +169,7 @@ def nu_spectral(ctx: FieldContext, E: PointSet, F: PointSet,
     # norm="forward" leaves ifft as the unscaled e(+) sum.
     # m = 0 needs no split: the 1/q part of Shat_j(0) = 1/q + (class value at w = 0)
     # gives q^(2s) conj(Ehat(0)) Fhat(0) / q = #E #F / q, the first term of raw.
-    h = np.fft.ifft(cross.values, norm="forward")
+    h = np.fft.ifft(cross, norm="forward")
     B = np.zeros(q, dtype=np.complex128)  # B[0] = 0: the sum runs over k != 0
     B[1:] = h[charsums.inverse_multiples(ctx, [ctx.inv_table[4 % q]])[0]]
     if s % 2 == 1:
@@ -197,7 +186,7 @@ def nu_spectral(ctx: FieldContext, E: PointSet, F: PointSet,
             f"spectral counts are {residual:.3e} from integers "
             f"(tolerance {DEFAULT_RESIDUAL_TOL:.1e}); reduce q**s"
         )
-    return DistanceDistribution(q=q, nu=rounded.astype(np.int64), residual=residual)
+    return DistanceDistribution(nu=rounded.astype(np.int64), residual=residual)
 
 
 def distance_set(dist: DistanceDistribution) -> set[int]:
@@ -206,27 +195,25 @@ def distance_set(dist: DistanceDistribution) -> set[int]:
 
 
 def spherical_profile(ctx: FieldContext, E: PointSet,
-                      spectrum: Spectrum | None = None) -> SphericalProfile:
-    """sigma_E(r) for all r: one bucketing pass over |Ehat|^2."""
+                      spectrum: Spectrum | None = None) -> np.ndarray:
+    """sigma_E(r) for all r as a float64 (q,) array: one bucketing pass over |Ehat|^2."""
     if spectrum is None:
         spectrum = set_spectrum(ctx, E)
     power = np.abs(spectrum.values.ravel()) ** 2
-    vals = np.bincount(norm_grid(ctx, E.s).ravel(), weights=power, minlength=E.q)
-    return SphericalProfile(kind="single_set", q=E.q, s=E.s, values=vals)
+    return np.bincount(norm_grid(ctx, E.s).ravel(), weights=power, minlength=E.q)
 
 
 def cross_profile(ctx: FieldContext, E: PointSet, F: PointSet,
                   spectra: tuple[Spectrum, Spectrum] | None = None,
-                  ) -> SphericalProfile:
-    """sigma_{E,F}(r) = sum_{|m|^2 = r} conj(Ehat(m)) Fhat(m), complex."""
+                  ) -> np.ndarray:
+    """sigma_{E,F}(r) = sum_{|m|^2 = r} conj(Ehat(m)) Fhat(m) as a complex128 (q,) array."""
     _require_same_field(E, F)
     if spectra is None:
         spectra = (set_spectrum(ctx, E), set_spectrum(ctx, F))
     A = (np.conj(spectra[0].values) * spectra[1].values).ravel()
     ng = norm_grid(ctx, E.s).ravel()
-    vals = np.bincount(ng, weights=A.real, minlength=E.q) \
+    return np.bincount(ng, weights=A.real, minlength=E.q) \
         + 1j * np.bincount(ng, weights=A.imag, minlength=E.q)
-    return SphericalProfile(kind="cross", q=E.q, s=E.s, values=vals)
 
 
 def intersection_count(E: PointSet, F: PointSet) -> int:

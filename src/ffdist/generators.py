@@ -2,18 +2,21 @@
 
 Every generator is deterministic in (q, s, spec): the random kinds run
 on a counter-based Philox stream keyed by spec.seed, so identical specs
-reproduce identical sets with no global state.
+reproduce identical sets with no global state.  A sampled size must lie
+in [1, support], and a product set (subspace, product_interval) over
+ctx.grid_cap points is refused before it is built.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
 import numpy as np
 
 from .distance import PointSet, check_indexable, sorted_point_set
-from .errors import BadGenerator, FieldMismatch, SizeTooLarge
+from .errors import BadGenerator, CapExceeded, FieldMismatch, SizeTooLarge
 from .field import FieldContext, sqrt_mod
 from .spectral import enumerate_sphere
 from . import setio
@@ -36,8 +39,23 @@ class GeneratorSpec:
     params: dict[str, Any] = field(default_factory=dict)
 
 
-def _decode(flat: np.ndarray, q: int, s: int) -> np.ndarray:
-    return np.stack(np.unravel_index(flat, (q,) * s), axis=1).astype(np.int64)
+def _choose(spec: GeneratorSpec, n: int, support: str) -> np.ndarray:
+    """spec.size distinct indices of range(n) from the Philox stream keyed by spec.seed."""
+    if spec.size is None or spec.size < 1:
+        raise BadGenerator(f"{spec.kind} needs a positive size")
+    if spec.size > n:
+        raise SizeTooLarge(f"size {spec.size} exceeds {support}")
+    rng = np.random.Generator(np.random.Philox(key=spec.seed))
+    return rng.choice(n, size=spec.size, replace=False)
+
+
+def _product(ctx: FieldContext, lengths: list[int]) -> PointSet:
+    """The box [0, l_1) x ... x [0, l_s), refused over ctx.grid_cap points before it is built."""
+    count = math.prod(lengths)
+    if count > ctx.grid_cap:
+        raise CapExceeded(f"product set of {count} points exceeds grid cap {ctx.grid_cap}")
+    grids = np.meshgrid(*[np.arange(v, dtype=np.int64) for v in lengths], indexing="ij")
+    return sorted_point_set(ctx.q, len(lengths), np.stack([g.ravel() for g in grids], axis=1))
 
 
 def generate(ctx: FieldContext, s: int, spec: GeneratorSpec) -> PointSet:
@@ -45,13 +63,9 @@ def generate(ctx: FieldContext, s: int, spec: GeneratorSpec) -> PointSet:
     q = ctx.q
     check_indexable(q, s)
     if spec.kind == "uniform_random":
-        if spec.size is None or spec.size < 1:
-            raise BadGenerator("uniform_random needs a positive size")
-        if spec.size > q ** s:
-            raise SizeTooLarge(f"size {spec.size} exceeds q**s = {q ** s}")
-        rng = np.random.Generator(np.random.Philox(key=spec.seed))
-        flat = rng.choice(q ** s, size=spec.size, replace=False)
-        return sorted_point_set(q, s, _decode(flat, q, s))
+        flat = _choose(spec, q ** s, f"q**s = {q ** s}")
+        pts = np.stack(np.unravel_index(flat, (q,) * s), axis=1).astype(np.int64)
+        return sorted_point_set(q, s, pts)
 
     if spec.kind == "isotropic_line":
         if s != 2:
@@ -65,28 +79,18 @@ def generate(ctx: FieldContext, s: int, spec: GeneratorSpec) -> PointSet:
 
     if spec.kind == "sphere_set":
         r = int(spec.params.get("radius", 1))
-        sphere = enumerate_sphere(ctx, s, r)
-        if sphere.count == 0:
+        pts = enumerate_sphere(ctx, s, r)
+        if len(pts) == 0:
             raise BadGenerator(f"sphere r = {r} is empty at q = {q}, s = {s}")
-        pts = sphere.points
         if spec.size is not None:
-            if spec.size > sphere.count:
-                raise SizeTooLarge(
-                    f"size {spec.size} exceeds |S_{r}| = {sphere.count}"
-                )
-            rng = np.random.Generator(np.random.Philox(key=spec.seed))
-            pick = rng.choice(sphere.count, size=spec.size, replace=False)
-            pts = pts[np.sort(pick)]
-        return sorted_point_set(q, s, pts.copy())
+            pts = pts[np.sort(_choose(spec, len(pts), f"|S_{r}| = {len(pts)}"))]
+        return sorted_point_set(q, s, pts)
 
     if spec.kind == "subspace":
         k = int(spec.params.get("dim", 1))
         if not 1 <= k <= s:
             raise BadGenerator(f"subspace dim {k} outside [1, {s}]")
-        flat = np.arange(q ** k, dtype=np.int64)
-        pts = np.zeros((q ** k, s), dtype=np.int64)
-        pts[:, :k] = _decode(flat, q, k)
-        return sorted_point_set(q, s, pts)
+        return _product(ctx, [q] * k + [1] * (s - k))
 
     if spec.kind == "product_interval":
         lengths = [int(v) for v in spec.params.get("lengths", [])]
@@ -94,10 +98,7 @@ def generate(ctx: FieldContext, s: int, spec: GeneratorSpec) -> PointSet:
             raise BadGenerator(
                 f"product_interval needs {s} side lengths in [1, {q}]"
             )
-        grids = np.meshgrid(*[np.arange(v, dtype=np.int64) for v in lengths],
-                            indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=1)
-        return sorted_point_set(q, s, pts)
+        return _product(ctx, lengths)
 
     if spec.kind == "from_file":
         path = spec.params.get("path")

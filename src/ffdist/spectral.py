@@ -72,17 +72,6 @@ class Spectrum:
     values: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
-class Sphere:
-    """The sphere S_r = {x : |x|^2 = r} as explicit points."""
-
-    q: int
-    s: int
-    r: int
-    points: np.ndarray  # int64, shape (count, s), radix-sorted
-    count: int
-
-
 # Both caches hold the one field (and dimension) in use: a sweep walks q in
 # its outer loop, so an older entry is never read again.
 @lru_cache(maxsize=1)
@@ -174,14 +163,11 @@ def sphere_counts(ctx: FieldContext, s: int) -> np.ndarray:
     return np.bincount(norm_grid(ctx, s).ravel(), minlength=ctx.q)
 
 
-def enumerate_sphere(ctx: FieldContext, s: int, r: int) -> Sphere:
-    """All x with |x|^2 = r, by exhaustive scan of the grid."""
+def enumerate_sphere(ctx: FieldContext, s: int, r: int) -> np.ndarray:
+    """All x with |x|^2 = r as radix-sorted int64 rows of shape (|S_r|, s), by exhaustive scan."""
     check_grid_cap(ctx, s)
-    q = ctx.q
-    r = r % q
-    flat = np.flatnonzero(norm_grid(ctx, s).ravel() == r)
-    pts = np.stack(np.unravel_index(flat, (q,) * s), axis=1).astype(np.int64)
-    return Sphere(q=q, s=s, r=r, points=pts, count=len(flat))
+    flat = np.flatnonzero(norm_grid(ctx, s).ravel() == r % ctx.q)
+    return np.stack(np.unravel_index(flat, (ctx.q,) * s), axis=1).astype(np.int64)
 
 
 def sphere_indicator(ctx: FieldContext, s: int, r: int) -> GridFunction:

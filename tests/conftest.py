@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import ffdist
 from ffdist import make_field, make_point_set
 
 PRIMES_TO_31 = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
@@ -18,3 +24,21 @@ def random_set(q, s, size, seed):
     flat = rng.choice(q ** s, size=size, replace=False)
     pts = np.stack(np.unravel_index(flat, (q,) * s), axis=1)
     return make_point_set(q, s, pts)
+
+
+def run_python(*args, cwd=None, text=True, **env_vars):
+    """Run `python *args` in a child that imports the ffdist these tests import.
+
+    The package's own directory goes first on PYTHONPATH, so the child
+    finds it from an uninstalled checkout and from any cwd; env_vars are
+    added to the child's environment.
+    """
+    path = [str(Path(ffdist.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, **env_vars, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=text,
+                          cwd=cwd, env=env)
+
+
+def cli(*args, **kwargs):
+    """`python -m ffdist *args` through run_python."""
+    return run_python("-m", "ffdist", *args, **kwargs)

@@ -7,8 +7,6 @@ replays.
 
 import json
 import math
-import subprocess
-import sys
 import time
 from pathlib import Path
 
@@ -40,6 +38,7 @@ from ffdist.distance import (
 from ffdist.generators import GeneratorSpec, generate
 from ffdist.spectral import inverse_transform
 from ffdist.sweep import SweepConfig, run_bench, run_verify
+from conftest import cli
 
 MASTER_SEED = 20240801
 CELLS = [(q, s) for q in (3, 5, 7, 13, 31) for s in (2, 3)]
@@ -75,7 +74,7 @@ def identity_battery(ctx, E, F):
 
     # profile mass
     prof = spherical_profile(ctx, E, spectrum=Ehat)
-    mass_gap = abs(float(prof.values.sum()) - energy)
+    mass_gap = abs(float(prof.sum()) - energy)
     assert mass_gap <= 1e-10
 
     # nu: spectral equals brute exactly, total mass exact
@@ -90,7 +89,7 @@ def identity_battery(ctx, E, F):
     inter = intersection_count(E, F)
     lhs = float((brute.nu.astype(np.float64) ** 2).sum())
     rhs = (E.size * F.size) ** 2 / q \
-        + q ** (3 * s) * float(np.sum(np.abs(cp.values) ** 2)) \
+        + q ** (3 * s) * float(np.sum(np.abs(cp) ** 2)) \
         - float(q ** (s - 1)) * inter * inter
     sm_gap = abs(lhs - rhs) / max(1.0, abs(lhs))
     assert sm_gap <= 1e-8
@@ -267,13 +266,11 @@ def test_criterion_9_benchmark():
 
 
 def test_criterion_10_sweep_determinism(tmp_path):
-    args = [sys.executable, "-m", "ffdist", "sweep",
-            "--q", "3,5,7", "--s", "2,3", "--sizes", "5x8,7x7",
+    args = ["sweep", "--q", "3,5,7", "--s", "2,3", "--sizes", "5x8,7x7",
             "--trials", "2", "--seed", "424242",
             "--lemma", "profile_mass,nu_spectral,second_moment,sigma_bound,dyadic"]
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    ra = subprocess.run(args + ["--out", str(a)], capture_output=True, text=True)
-    rb = subprocess.run(args + ["--out", str(b)], capture_output=True, text=True)
+    ra, rb = cli(*args, "--out", str(a)), cli(*args, "--out", str(b))
     assert ra.returncode == 0 and rb.returncode == 0
     assert a.read_bytes() == b.read_bytes()
     assert len(a.read_text().splitlines()) == 1 + 3 * 2 * 2 * 2 * 5

@@ -7,11 +7,6 @@ in this: a table warmed under one context serves a context with another
 cap, and the cap is still checked.
 """
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -26,6 +21,7 @@ from ffdist.distance import (
 )
 from ffdist.errors import CapExceeded, PairCapExceeded
 from ffdist.field import DEFAULT_GRID_CAP, DEFAULT_PAIR_CAP, make_field
+from ffdist.generators import GeneratorSpec, generate
 from ffdist.spectral import (
     GridFunction,
     Spectrum,
@@ -38,9 +34,7 @@ from ffdist.spectral import (
     sphere_spectrum,
 )
 from ffdist.sweep import SweepConfig, validate_config
-from conftest import random_set
-
-SRC = Path(__file__).resolve().parents[1] / "src"
+from conftest import cli, random_set
 
 # 7**2 = 49 grid entries, one over the cap.
 CAPPED = make_field(7, grid_cap=48)
@@ -62,13 +56,6 @@ GRID_FUNCTIONS = {
     "spherical_profile": lambda ctx: spherical_profile(ctx, E),
     "cross_profile": lambda ctx: cross_profile(ctx, E, F),
 }
-
-
-def cli(*args):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(SRC), os.environ.get("PYTHONPATH", "")]))
-    return subprocess.run([sys.executable, "-m", "ffdist", *args],
-                          capture_output=True, text=True, env=env)
 
 
 class TestContextCaps:
@@ -123,6 +110,15 @@ class TestGridCap:
                                                   "entries exceeds grid cap 155"):
                 call(make_field(13, grid_cap=155))
             call(make_field(13, grid_cap=156))
+
+    def test_product_sets_read_the_cap(self):
+        specs = (GeneratorSpec("subspace", params={"dim": 2}),
+                 GeneratorSpec("product_interval", params={"lengths": [7, 7]}))
+        for spec in specs:
+            with pytest.raises(CapExceeded, match="product set of 49 points exceeds "
+                                                  "grid cap 48"):
+                generate(CAPPED, 2, spec)
+            assert generate(make_field(7, grid_cap=49), 2, spec).size == 49
 
     def test_cli_cap_grid_reaches_the_checkers(self):
         # 2053**2 = 4214809 is over the default cap of 2**22 = 4194304.

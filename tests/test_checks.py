@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from ffdist import make_point_set, spherical_profile
+from ffdist import cross_profile, make_point_set, spherical_profile
 from ffdist.checks import (
     CHECKERS,
     check_cross_zero,
@@ -20,7 +20,6 @@ from ffdist.checks import (
     check_sphere_bounds,
     dyadic_decompose,
 )
-from ffdist.distance import SphericalProfile
 from conftest import random_set
 from test_distance import full_grid_set
 
@@ -167,7 +166,7 @@ class TestSigmaBound:
         rep = check_sigma_bound(contexts[7], random_set(7, 3, 50, 7))
         assert rep.explicit_pass
         # odd s: the bound covers r = 0 as well; worst over all r reported
-        sig = spherical_profile(contexts[7], random_set(7, 3, 50, 7)).values
+        sig = spherical_profile(contexts[7], random_set(7, 3, 50, 7))
         assert rep.lhs >= sig[0] - 1e-15
 
 
@@ -190,7 +189,7 @@ class TestDyadic:
         # singleton set at q = 3: sigma is 4/81 on all of F_q^*
         E = make_point_set(3, 2, [(1, 1)])
         sig = spherical_profile(contexts[3], E)
-        dec = dyadic_decompose(sig, sig)
+        dec = dyadic_decompose(sig, sig, 2)
         assert dec.chosen_level is not None
         assert set(dec.M.tolist()) == {1, 2}
         occupied = [n for _, _, n in dec.levels if n > 0]
@@ -199,23 +198,29 @@ class TestDyadic:
     def test_level_range_and_A(self, contexts):
         E = random_set(13, 2, 29, 0)
         sig = spherical_profile(contexts[13], E)
-        dec = dyadic_decompose(sig, sig)
+        dec = dyadic_decompose(sig, sig, 2)
         i_min = math.ceil(-8 * math.log2(13))
         assert dec.levels[0][0] == i_min
         assert dec.levels[-1][0] == 0
         assert dec.A == 2.0 ** (dec.chosen_level - 1)
-        on_m = sig.values[dec.M]
+        on_m = sig[dec.M]
         assert np.all(on_m >= dec.A - 1e-15)
         assert np.all(on_m <= 2 * dec.A + 1e-15)
 
     def test_below_floor_profile_reported_empty(self):
         vals = np.full(13, 1e-40)
         vals[0] = 0.0
-        prof = SphericalProfile(kind="single_set", q=13, s=2, values=vals)
-        dec = dyadic_decompose(prof, prof)
+        dec = dyadic_decompose(vals, vals, 2)
         assert dec.chosen_level is None
         assert dec.M.size == 0
         assert dec.A == 0.0
+
+    def test_refuses_a_cross_profile(self, contexts):
+        E, F = random_set(13, 2, 29, 0), random_set(13, 2, 31, 1)
+        sig, cross = spherical_profile(contexts[13], E), cross_profile(contexts[13], E, F)
+        for args in ((cross, sig), (sig, cross)):
+            with pytest.raises(ValueError, match="single-set profiles"):
+                dyadic_decompose(*args, 2)
 
     def test_checker_pigeonhole(self, contexts):
         for seed in range(4):

@@ -171,32 +171,34 @@ class TestProfiles:
     def test_singleton_profile(self, contexts):
         E = make_point_set(3, 2, [(1, 1)])
         prof = spherical_profile(contexts[3], E)
-        assert np.allclose(prof.values, np.array([1, 4, 4]) / 81, atol=1e-12)
+        assert np.allclose(prof, np.array([1, 4, 4]) / 81, atol=1e-12)
 
     @pytest.mark.parametrize("q,s", [(3, 2), (7, 2), (5, 3)])
     def test_mass_identity(self, contexts, q, s):
         E = random_set(q, s, min(q ** s, 11), seed=q + s)
         prof = spherical_profile(contexts[q], E)
-        assert abs(prof.values.sum() - E.size / q ** s) <= 1e-12
+        assert abs(prof.sum() - E.size / q ** s) <= 1e-12
 
     def test_cross_of_set_with_itself(self, contexts):
         E = random_set(7, 2, 12, seed=3)
-        single = spherical_profile(contexts[7], E).values
-        cross = cross_profile(contexts[7], E, E).values
+        single = spherical_profile(contexts[7], E)
+        cross = cross_profile(contexts[7], E, E)
+        assert (single.dtype, single.shape) == (np.float64, (7,))
+        assert (cross.dtype, cross.shape) == (np.complex128, (7,))
         assert np.max(np.abs(cross - single)) <= 1e-12
 
     def test_values_in_unit_interval(self, contexts):
         E = random_set(13, 2, 100, seed=4)
-        vals = spherical_profile(contexts[13], E).values
+        vals = spherical_profile(contexts[13], E)
         assert np.all(vals >= 0)
         assert np.all(vals <= E.size / 13 ** 2 + 1e-12)
 
     def test_pointwise_cauchy_schwarz(self, contexts):
         E = random_set(13, 2, 60, seed=8)
         F = random_set(13, 2, 45, seed=9)
-        se = spherical_profile(contexts[13], E).values
-        sf = spherical_profile(contexts[13], F).values
-        cr = np.abs(cross_profile(contexts[13], E, F).values) ** 2
+        se = spherical_profile(contexts[13], E)
+        sf = spherical_profile(contexts[13], F)
+        cr = np.abs(cross_profile(contexts[13], E, F)) ** 2
         assert np.all(cr <= se * sf + 1e-15)
 
 
@@ -260,7 +262,7 @@ class TestSecondMomentIdentity:
         F = random_set(q, s, min(q ** s - 1, 17), seed=q + 1)
         nu = nu_brute(E, F).nu.astype(float)
         lhs = float((nu ** 2).sum())
-        cross = cross_profile(ctx, E, F).values
+        cross = cross_profile(ctx, E, F)
         inter = intersection_count(E, F)
         rhs = (E.size * F.size) ** 2 / q \
             + q ** (3 * s) * float(np.sum(np.abs(cross) ** 2)) \
@@ -270,6 +272,6 @@ class TestSecondMomentIdentity:
     def test_singleton_hand_instance(self, contexts):
         # E = F = one point, q = 3, s = 2: 1 = 1/3 + 11/3 - 3
         E = make_point_set(3, 2, [(0, 0)])
-        cross = cross_profile(contexts[3], E, E).values
+        cross = cross_profile(contexts[3], E, E)
         assert 3 ** 6 * float(np.sum(np.abs(cross) ** 2)) == pytest.approx(11 / 3)
         assert (1 * 1) ** 2 / 3 + 11 / 3 - 3 == pytest.approx(1.0)

@@ -8,14 +8,11 @@ checks that a sweep above the dense-transform range gives the same bytes
 at one and two BLAS threads.
 """
 
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
-import ffdist
+from conftest import cli
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 
@@ -30,11 +27,7 @@ RUNS = {
 
 
 def run_cli(args, cwd, **env_vars):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(Path(ffdist.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]),
-        **env_vars)
-    proc = subprocess.run([sys.executable, "-m", "ffdist", *args],
-                          capture_output=True, cwd=cwd, env=env)
+    proc = cli(*args, cwd=cwd, text=False, **env_vars)
     assert proc.returncode == 0, proc.stderr.decode()
     return proc
 

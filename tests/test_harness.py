@@ -1,15 +1,11 @@
 import csv
 import json
-import os
 import shlex
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-import ffdist
 from ffdist import make_point_set
 from ffdist.errors import (
     BadGenerator,
@@ -33,17 +29,9 @@ from ffdist.sweep import (
     run_verify,
     trial_seed,
 )
-
+from conftest import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
-
-
-def cli(*args, cwd=None):
-    # The package's own directory goes on the path so that any cwd works.
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(Path(ffdist.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
-    return subprocess.run([sys.executable, "-m", "ffdist", *args],
-                          capture_output=True, text=True, cwd=cwd, env=env)
 
 
 class TestGenerators:
@@ -93,6 +81,9 @@ class TestGenerators:
         E = generate(contexts[5], 3, GeneratorSpec("subspace", params={"dim": 2}))
         assert E.size == 25
         assert np.all(E.points[:, 2] == 0)
+        box = generate(contexts[5], 3, GeneratorSpec("product_interval",
+                                                     params={"lengths": [5, 5, 1]}))
+        assert np.array_equal(E.points, box.points)
 
     def test_product_interval(self, contexts):
         E = generate(contexts[7], 2, GeneratorSpec("product_interval",
@@ -395,6 +386,25 @@ class TestCLI:
         extra = ("--out", str(out)) if args[0] == "gen" else ()
         proc = cli(*(a.format(big=big) for a in args), *extra)
         assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("code, args", [
+        (2, ("--q", "13", "--size", "0")),
+        (2, ("--q", "13", "--size", "-3")),
+        (2, ("--q", "13", "--kind", "sphere_set", "--radius", "1", "--size", "0")),
+        (2, ("--q", "13", "--kind", "sphere_set", "--radius", "1", "--size", "-3")),
+        (3, ("--q", "1048573", "--kind", "subspace", "--dim", "2")),
+        (3, ("--q", "1048573", "--kind", "product_interval",
+             "--lengths", "1048573,1048573")),
+    ], ids=["uniform-0", "uniform-neg", "sphere-0", "sphere-neg", "subspace-cap",
+            "product-cap"])
+    def test_gen_refuses_before_writing(self, tmp_path, code, args):
+        out = tmp_path / "x.txt"
+        proc = cli("gen", "--s", "2", *args, "--out", str(out))
+        assert proc.returncode == code
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
         assert "Traceback" not in proc.stderr

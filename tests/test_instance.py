@@ -29,8 +29,7 @@ from ffdist.checks import (
 )
 from ffdist.distance import PointSet
 from ffdist.field import make_field
-from ffdist.generators import GeneratorSpec, generate
-from ffdist.sweep import SweepConfig, run_verify, trial_seed
+from ffdist.sweep import SweepConfig, run_verify
 from conftest import random_set
 
 # Each checker called on its own; with fresh copies of the sets, every
@@ -52,13 +51,6 @@ DIRECT = {
 
 def fresh(E):
     return PointSet(q=E.q, s=E.s, points=E.points.copy())
-
-
-def cell_sets(cfg, q, s, ne, nf, trial):
-    ctx = make_field(q)
-    return tuple(generate(ctx, s, GeneratorSpec(
-        "uniform_random", size=n, seed=trial_seed(cfg.seed, q, s, trial, tag)))
-        for n, tag in ((ne, "E"), (nf, "F")))
 
 
 def counting(monkeypatch, module, name):
@@ -99,9 +91,9 @@ class TestComputeOnce:
     def test_nu_spectral_leaves_the_shared_profile_alone(self, contexts):
         ctx = contexts[13]
         inst = instance(ctx, random_set(13, 2, 40, 8), random_set(13, 2, 35, 9))
-        before = inst.sig_ef.values.copy()
+        before = inst.sig_ef.copy()
         inst.spectral
-        assert before.tobytes() == inst.sig_ef.values.tobytes()
+        assert before.tobytes() == inst.sig_ef.tobytes()
 
     def test_sweep_releases_the_last_cell(self, monkeypatch):
         made = []
@@ -152,7 +144,7 @@ class TestSameReports:
         assert len(rows) == 2 * len(CHECKERS)
         ctx = make_field(q)
         for row in rows:
-            E, F = cell_sets(cfg, q, s, ne, nf, row.trial)
+            E, F = sweep.cell_sets(ctx, s, (ne, nf), cfg.seed, row.trial)
             direct = DIRECT[row.lemma_id](ctx, fresh(E), fresh(F))
             assert row.report.to_json() == direct.to_json(), row.lemma_id
 

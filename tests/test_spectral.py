@@ -150,18 +150,16 @@ class TestSpheres:
         assert int(sphere_counts(contexts[q], s).sum()) == q ** s
 
     def test_enumerate_origin_only(self, contexts):
-        sph = enumerate_sphere(contexts[3], 2, 0)
-        assert sph.count == 1
-        assert sph.points.tolist() == [[0, 0]]
+        assert enumerate_sphere(contexts[3], 2, 0).tolist() == [[0, 0]]
 
     def test_enumerate_unit_sphere_q3(self, contexts):
         sph = enumerate_sphere(contexts[3], 2, 1)
-        assert sph.count == 4
-        assert {tuple(p) for p in sph.points.tolist()} == {
+        assert len(sph) == 4
+        assert {tuple(p) for p in sph.tolist()} == {
             (0, 1), (0, 2), (1, 0), (2, 0)}
 
     def test_enumerate_isotropic_q5(self, contexts):
-        assert enumerate_sphere(contexts[5], 2, 0).count == 9
+        assert len(enumerate_sphere(contexts[5], 2, 0)) == 9
 
     @pytest.mark.parametrize("q", (3, 5, 7, 13))
     @pytest.mark.parametrize("s", (1, 2, 3))
@@ -169,7 +167,11 @@ class TestSpheres:
         ctx = contexts[q]
         for r in (0, 1, q - 1):
             sph = enumerate_sphere(ctx, s, r)
-            for p in sph.points:
+            # int64 rows, one per point of S_r, in radix order
+            assert sph.dtype == np.int64
+            assert sph.shape == (sphere_counts(ctx, s)[r % q], s)
+            assert np.all(np.diff(np.ravel_multi_index(sph.T, (q,) * s)) > 0)
+            for p in sph:
                 assert norm_squared(ctx, p) == r % q
 
 
