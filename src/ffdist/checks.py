@@ -45,7 +45,7 @@ from .distance import (
     spherical_profile,
 )
 from .field import FieldContext
-from .spectral import norm_grid, sphere_spectrum
+from .spectral import half_norm_grid, sphere_spectrum
 
 # Absolute slack for inequalities that hold with real margin; covers
 # float noise only, never a constant.
@@ -165,7 +165,7 @@ def check_nu_zero_bound(ctx: FieldContext, E: PointSet, F: PointSet) -> LemmaRep
     inst = instance(ctx, E, F)
     _, by_class = charsums.sphere_class_values(ctx, s, 0)
     G = inst.sig_ef.copy()
-    G[0] -= np.conj(inst.ehat.values.flat[0]) * inst.fhat.values.flat[0]  # drop m = 0
+    G[0] -= (np.conj(inst.ehat.values.flat[0]) * inst.fhat.values.flat[0]).real  # drop m = 0
     delta = q ** (2 * s) * complex(np.dot(by_class, G))
     delta_cap = q ** (s / 2) * math.sqrt(mass)
 
@@ -352,7 +352,8 @@ def check_sphere_bounds(ctx: FieldContext, s: int) -> LemmaReport:
          where u_s is the unit constant of the closed form.
 
     Values are taken from the direct transform of the sphere indicator,
-    so the check is independent of the closed form.
+    so the check is independent of the closed form.  |Shat_r(m)| is even
+    in m, so the stored half of each spectrum covers all m.
     """
     q = ctx.q
     caps = {
@@ -376,7 +377,7 @@ def check_sphere_bounds(ctx: FieldContext, s: int) -> LemmaReport:
         if s >= 2:
             ok &= bool(mags[0] <= caps["origin_cap"] + _SLACK)
         if r == 0 and s % 2 == 0:
-            ng = norm_grid(ctx, s).ravel()  # after sphere_spectrum checked the grid cap
+            ng = half_norm_grid(ctx, s).ravel()  # after sphere_spectrum checked the grid cap
             iso = (ng == 0).copy()
             iso[0] = False
             if iso.any():
@@ -399,14 +400,15 @@ def check_sphere_bounds(ctx: FieldContext, s: int) -> LemmaReport:
 def dyadic_decompose(sigma: np.ndarray, companion: np.ndarray, s: int) -> DyadicDecomposition:
     """Split F_q^* by the dyadic size of sigma(r) and locate the top level.
 
-    sigma and companion are real single-set profiles over F_q^s.  T_i
+    sigma and companion are single-set profiles over F_q^s: sums of
+    |Ehat|^2, so every entry is >= 0, which a cross profile need not be.  T_i
     sums companion(r) * sigma(r) over the r in level i.  Members with
     sigma(r) below the q^(-4s) floor are left to the floor term; the
     pigeonhole inequality
         sum_{r != 0} companion * sigma <= q^(1-4s) + n_levels * max_i T_i
     is what the caller checks.
     """
-    if np.iscomplexobj(sigma) or np.iscomplexobj(companion):
+    if np.any(sigma < 0) or np.any(companion < 0):
         raise ValueError("dyadic decomposition expects single-set profiles")
     q = len(sigma)
     weight = companion * sigma

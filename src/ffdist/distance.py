@@ -15,8 +15,11 @@ values.
 
 Spherical averages, each a length-q array indexed by r:
 
-    sigma_E(r)   = sum_{|a|^2 = r} |Ehat(a)|^2          (real, in [0, 1])
-    sigma_EF(r)  = sum_{|m|^2 = r} conj(Ehat(m)) Fhat(m)  (complex)
+    sigma_E(r)   = sum_{|a|^2 = r} |Ehat(a)|^2          (in [0, 1])
+    sigma_EF(r)  = sum_{|m|^2 = r} conj(Ehat(m)) Fhat(m)
+
+Both are real (E and F are real sets, so Ehat(-m) = conj(Ehat(m)), and m
+and -m share a norm class); each is one spectral.by_norm pass.
 
 Point-set text format (shared with the harness): first line "q s n",
 then n lines of s space-separated integers in [0, q); duplicates are
@@ -41,7 +44,7 @@ from .errors import (
     UnindexableSpace,
 )
 from .field import DEFAULT_PAIR_CAP, FieldContext, check_grid_cap
-from .spectral import GridFunction, Spectrum, forward_transform, norm_grid
+from .spectral import GridFunction, Spectrum, by_norm, forward_transform
 
 DEFAULT_RESIDUAL_TOL = 1e-6
 
@@ -184,7 +187,8 @@ def nu_spectral(ctx: FieldContext, E: PointSet, F: PointSet,
     if residual > DEFAULT_RESIDUAL_TOL:
         raise RoundingDrift(
             f"spectral counts are {residual:.3e} from integers "
-            f"(tolerance {DEFAULT_RESIDUAL_TOL:.1e}); reduce q**s"
+            f"(tolerance {DEFAULT_RESIDUAL_TOL:.1e}) at #E #F = {E.size} * {F.size} "
+            f"and q**s = {q}**{s}"
         )
     return DistanceDistribution(nu=rounded.astype(np.int64), residual=residual)
 
@@ -199,21 +203,17 @@ def spherical_profile(ctx: FieldContext, E: PointSet,
     """sigma_E(r) for all r as a float64 (q,) array: one bucketing pass over |Ehat|^2."""
     if spectrum is None:
         spectrum = set_spectrum(ctx, E)
-    power = np.abs(spectrum.values.ravel()) ** 2
-    return np.bincount(norm_grid(ctx, E.s).ravel(), weights=power, minlength=E.q)
+    return by_norm(ctx, E.s, np.abs(spectrum.values) ** 2)
 
 
 def cross_profile(ctx: FieldContext, E: PointSet, F: PointSet,
                   spectra: tuple[Spectrum, Spectrum] | None = None,
                   ) -> np.ndarray:
-    """sigma_{E,F}(r) = sum_{|m|^2 = r} conj(Ehat(m)) Fhat(m) as a complex128 (q,) array."""
+    """sigma_{E,F}(r) = sum_{|m|^2 = r} Re(conj(Ehat(m)) Fhat(m)) as a float64 (q,) array."""
     _require_same_field(E, F)
     if spectra is None:
         spectra = (set_spectrum(ctx, E), set_spectrum(ctx, F))
-    A = (np.conj(spectra[0].values) * spectra[1].values).ravel()
-    ng = norm_grid(ctx, E.s).ravel()
-    return np.bincount(ng, weights=A.real, minlength=E.q) \
-        + 1j * np.bincount(ng, weights=A.imag, minlength=E.q)
+    return by_norm(ctx, E.s, (np.conj(spectra[0].values) * spectra[1].values).real)
 
 
 def intersection_count(E: PointSet, F: PointSet) -> int:

@@ -3,8 +3,9 @@
 Every generator is deterministic in (q, s, spec): the random kinds run
 on a counter-based Philox stream keyed by spec.seed, so identical specs
 reproduce identical sets with no global state.  A sampled size must lie
-in [1, support], and a product set (subspace, product_interval) over
-ctx.grid_cap points is refused before it is built.
+in [1, support], a product set (subspace, product_interval) over
+ctx.grid_cap points is refused before it is built, and a spec that sets
+a size or a params key its kind does not read (READS) is refused.
 """
 
 from __future__ import annotations
@@ -21,14 +22,16 @@ from .field import FieldContext, sqrt_mod
 from .spectral import enumerate_sphere
 from . import setio
 
-KINDS = (
-    "uniform_random",
-    "isotropic_line",
-    "sphere_set",
-    "subspace",
-    "product_interval",
-    "from_file",
-)
+# kind -> (whether it reads spec.size, the spec.params keys it reads).
+READS = {
+    "uniform_random": (True, ()),
+    "isotropic_line": (False, ()),
+    "sphere_set": (True, ("radius",)),
+    "subspace": (False, ("dim",)),
+    "product_interval": (False, ("lengths",)),
+    "from_file": (False, ("path",)),
+}
+KINDS = tuple(READS)
 
 
 @dataclass(frozen=True)
@@ -62,6 +65,14 @@ def generate(ctx: FieldContext, s: int, spec: GeneratorSpec) -> PointSet:
     """Materialize a point set in F_q^s from a generator spec."""
     q = ctx.q
     check_indexable(q, s)
+    if spec.kind not in READS:
+        raise BadGenerator(f"unknown generator kind {spec.kind!r}")
+    reads_size, keys = READS[spec.kind]
+    unread = (["size"] if spec.size is not None and not reads_size else []) \
+        + sorted(set(spec.params) - set(keys))
+    if unread:
+        raise BadGenerator(f"kind {spec.kind} does not read {', '.join(unread)}")
+
     if spec.kind == "uniform_random":
         flat = _choose(spec, q ** s, f"q**s = {q ** s}")
         pts = np.stack(np.unravel_index(flat, (q,) * s), axis=1).astype(np.int64)
@@ -100,15 +111,12 @@ def generate(ctx: FieldContext, s: int, spec: GeneratorSpec) -> PointSet:
             )
         return _product(ctx, lengths)
 
-    if spec.kind == "from_file":
-        path = spec.params.get("path")
-        if not path:
-            raise BadGenerator("from_file needs params['path']")
-        E = setio.read_pointset(path)
-        if E.q != q or E.s != s:
-            raise FieldMismatch(
-                f"file declares (q={E.q}, s={E.s}), expected (q={q}, s={s})"
-            )
-        return E
-
-    raise BadGenerator(f"unknown generator kind {spec.kind!r}")
+    path = spec.params.get("path")  # from_file
+    if not path:
+        raise BadGenerator("from_file needs params['path']")
+    E = setio.read_pointset(path)
+    if E.q != q or E.s != s:
+        raise FieldMismatch(
+            f"file declares (q={E.q}, s={E.s}), expected (q={q}, s={s})"
+        )
+    return E

@@ -36,7 +36,7 @@ from ffdist.distance import (
     spherical_profile,
 )
 from ffdist.generators import GeneratorSpec, generate
-from ffdist.spectral import inverse_transform
+from ffdist.spectral import by_norm, inverse_transform
 from ffdist.sweep import SweepConfig, run_bench, run_verify
 from conftest import cli
 
@@ -64,7 +64,7 @@ def identity_battery(ctx, E, F):
 
     # Plancherel, relative: indicator energy is exactly #E
     energy = E.size / q ** s
-    plancherel = abs(float(np.sum(np.abs(Ehat.values) ** 2)) - energy)
+    plancherel = abs(float(by_norm(ctx, s, np.abs(Ehat.values) ** 2).sum()) - energy)
     assert plancherel <= 1e-9 * max(1.0, energy)
 
     # inversion round trip on the indicator
@@ -138,14 +138,13 @@ def test_criterion_2_sphere_closed_form():
     rng = cell_rng(31, 0, salt=2)
     sampled = 0.0
     for s in (2, 3):
-        direct = {r: sphere_spectrum(ctx, s, r, "direct").values.ravel()
-                  for r in range(31)}
+        # Sampled over the stored half, last-axis indices 0 .. 15.
+        direct = {r: sphere_spectrum(ctx, s, r, "direct").values for r in range(31)}
         for _ in range(1000):
             r = int(rng.integers(0, 31))
-            flat = int(rng.integers(0, 31 ** s))
-            m = np.unravel_index(flat, (31,) * s)
+            m = np.unravel_index(int(rng.integers(0, direct[r].size)), direct[r].shape)
             got = sphere_fourier_closed(ctx, s, r, m)
-            sampled = max(sampled, abs(got - direct[r][flat]))
+            sampled = max(sampled, abs(got - direct[r][m]))
     assert sampled <= 1e-9
     print(f"\nACCEPTANCE 2 PASS: closed form vs direct, exhaustive q<=13 "
           f"(worst {worst:.2e}), 1000 samples q=31 per s (worst {sampled:.2e})")

@@ -45,7 +45,7 @@ GRID_FUNCTIONS = {
     "forward_transform": lambda ctx: forward_transform(
         ctx, GridFunction(q=7, s=2, values=np.zeros((7, 7)))),
     "inverse_transform": lambda ctx: inverse_transform(
-        ctx, Spectrum(q=7, s=2, values=np.zeros((7, 7), dtype=np.complex128))),
+        ctx, Spectrum(q=7, s=2, values=np.zeros((7, 4), dtype=np.complex128))),
     "sphere_counts": lambda ctx: sphere_counts(ctx, 2),
     "enumerate_sphere": lambda ctx: enumerate_sphere(ctx, 2, 1),
     "sphere_indicator": lambda ctx: sphere_indicator(ctx, 2, 1),
@@ -139,31 +139,32 @@ class TestRealIndicators:
 
     @pytest.mark.parametrize("q, s", ((31, 3), (151, 2)))
     def test_real_indicator_transforms_bit_identical(self, q, s):
-        # On the dense side (q <= spectral.DENSE_MAX_Q) the transform of
-        # the real 0/1 grid equals, bit for bit, the transform of the same
-        # grid stored as complex128.
+        # On the dense side (q <= spectral.DENSE_MAX_Q) the transform of the
+        # real 0/1 grid is repeatable bit for bit and is the set's spectrum;
+        # the same grid stored as complex128 is refused.
         ctx = make_field(q)
         G = random_set(q, s, 2000, 7)
         real = indicator_grid(G)
         before = real.values.copy()
-        as_complex = GridFunction(q=q, s=s, values=real.values.astype(np.complex128))
         a = forward_transform(ctx, real).values
-        b = forward_transform(ctx, as_complex).values
-        assert np.array_equal(a.real, b.real) and np.array_equal(a.imag, b.imag)
+        assert a.shape == (q,) * (s - 1) + ((q + 1) // 2,)
+        assert forward_transform(ctx, real).values.tobytes() == a.tobytes()
         assert np.array_equal(real.values, before)  # the input is not written
         assert np.array_equal(distance.set_spectrum(ctx, G).values, a)
+        as_complex = GridFunction(q=q, s=s, values=real.values.astype(np.complex128))
+        with pytest.raises(TypeError, match="complex"):
+            forward_transform(ctx, as_complex)
 
     def test_real_indicator_transforms_agree_on_pocketfft(self):
-        # Above DENSE_MAX_Q real input takes rfftn and complex input fftn:
-        # the two agree to rounding, not bit for bit.
+        # Above DENSE_MAX_Q real input takes rfftn: its half agrees with the
+        # complex fftn of the same grid to rounding, not bit for bit.
         q, s = 1021, 2
         ctx = make_field(q)
         G = random_set(q, s, 2000, 7)
         real = indicator_grid(G)
         before = real.values.copy()
-        as_complex = GridFunction(q=q, s=s, values=real.values.astype(np.complex128))
         a = forward_transform(ctx, real).values
-        b = forward_transform(ctx, as_complex).values
+        b = np.fft.fftn(real.values.astype(np.complex128))[:, :(q + 1) // 2] / q ** s
         assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(a))
         assert np.array_equal(real.values, before)  # the input is not written
         assert np.array_equal(distance.set_spectrum(ctx, G).values, a)

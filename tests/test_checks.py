@@ -218,6 +218,8 @@ class TestDyadic:
     def test_refuses_a_cross_profile(self, contexts):
         E, F = random_set(13, 2, 29, 0), random_set(13, 2, 31, 1)
         sig, cross = spherical_profile(contexts[13], E), cross_profile(contexts[13], E, F)
+        # A cross profile is real but can be negative; a single-set profile cannot.
+        assert cross.dtype == np.float64 and cross.min() < 0 <= sig.min()
         for args in ((cross, sig), (sig, cross)):
             with pytest.raises(ValueError, match="single-set profiles"):
                 dyadic_decompose(*args, 2)

@@ -3,11 +3,15 @@
 The files under data/golden/ are the outputs of the commands below.  The
 runs set no BLAS thread variable: at these sizes the bytes agreed at one
 thread, two threads and the library default.  A deliberate change of
-output means regenerating them with the same commands.  A fourth run
-checks that a sweep above the dense-transform range gives the same bytes
-at one and two BLAS threads.
+output means regenerating them with the same commands:
+
+    PYTHONPATH=src python tests/test_golden.py
+
+rewrites every file from RUNS.  A fourth test checks that a sweep gives
+the same bytes at one and two BLAS threads on both transform backends.
 """
 
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -32,18 +36,24 @@ def run_cli(args, cwd, **env_vars):
     return proc
 
 
+def output(name, cwd):
+    """The bytes that RUNS[name] writes, run in cwd: its output file, else its stdout."""
+    proc = run_cli(RUNS[name], cwd)
+    produced = Path(cwd) / name
+    return produced.read_bytes() if produced.exists() else proc.stdout
+
+
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_output_matches_golden_bytes(name, tmp_path):
-    proc = run_cli(RUNS[name], tmp_path)
-    produced = tmp_path / name
-    got = produced.read_bytes() if produced.exists() else proc.stdout
-    assert got == (GOLDEN / name).read_bytes()
+    assert output(name, tmp_path) == (GOLDEN / name).read_bytes()
 
 
-def test_sweep_bytes_do_not_depend_on_blas_threads(tmp_path):
-    # q = 257 transforms on pocketfft; the dense BLAS passes gave different
-    # cross_zero and sigma_bound bytes at one and two threads here.
-    args = ["sweep", "--q", "257", "--s", "2", "--sizes", "200x300", "--trials", "2",
+@pytest.mark.parametrize("q", (151, 257))
+def test_sweep_bytes_do_not_depend_on_blas_threads(tmp_path, q):
+    # q = 151 is the largest q on the dense BLAS passes (spectral.DENSE_MAX_Q)
+    # and q = 257 transforms on pocketfft; dense passes at q = 257 gave
+    # different cross_zero and sigma_bound bytes at one and two threads.
+    args = ["sweep", "--q", str(q), "--s", "2", "--sizes", "200x300", "--trials", "2",
             "--seed", "5", "--lemma", "cross_zero,sigma_bound", "--out", "sweep.csv"]
     outputs = []
     for threads in ("1", "2"):
@@ -51,3 +61,15 @@ def test_sweep_bytes_do_not_depend_on_blas_threads(tmp_path):
         run_cli(args, tmp_path / threads, OPENBLAS_NUM_THREADS=threads)
         outputs.append((tmp_path / threads / "sweep.csv").read_bytes())
     assert outputs[0] == outputs[1]
+
+
+def regenerate():
+    """Rewrite every golden file from its command in RUNS."""
+    for name in sorted(RUNS):
+        with tempfile.TemporaryDirectory() as tmp:
+            (GOLDEN / name).write_bytes(output(name, tmp))
+        print(f"wrote {GOLDEN / name}")
+
+
+if __name__ == "__main__":
+    regenerate()

@@ -110,6 +110,16 @@ class TestGenerators:
         with pytest.raises(BadGenerator):
             generate(contexts[5], 2, GeneratorSpec("mystery"))
 
+    @pytest.mark.parametrize("spec, unread", [
+        (GeneratorSpec("subspace", size=2, params={"dim": 1}), "size"),
+        (GeneratorSpec("isotropic_line", size=2, params={"radius": 3}), "size, radius"),
+        (GeneratorSpec("uniform_random", size=3, params={"dim": 2}), "dim"),
+        (GeneratorSpec("sphere_set", params={"radius": 1, "lengths": [2, 2]}), "lengths"),
+    ], ids=["subspace-size", "line-size-radius", "uniform-dim", "sphere-lengths"])
+    def test_refuses_what_its_kind_does_not_read(self, contexts, spec, unread):
+        with pytest.raises(BadGenerator, match=f"kind {spec.kind} does not read {unread}$"):
+            generate(contexts[5], 2, spec)
+
     @pytest.mark.parametrize("spec", [
         GeneratorSpec("uniform_random", size=30, seed=4),
         GeneratorSpec("sphere_set", params={"radius": 2}),
@@ -399,8 +409,11 @@ class TestCLI:
         (3, ("--q", "1048573", "--kind", "subspace", "--dim", "2")),
         (3, ("--q", "1048573", "--kind", "product_interval",
              "--lengths", "1048573,1048573")),
+        (2, ("--q", "5", "--kind", "subspace", "--dim", "1", "--size", "2")),
+        (2, ("--q", "5", "--kind", "isotropic_line", "--size", "2", "--radius", "3")),
+        (2, ("--q", "5", "--kind", "uniform_random", "--size", "3", "--dim", "2")),
     ], ids=["uniform-0", "uniform-neg", "sphere-0", "sphere-neg", "subspace-cap",
-            "product-cap"])
+            "product-cap", "subspace-size", "line-size-radius", "uniform-dim"])
     def test_gen_refuses_before_writing(self, tmp_path, code, args):
         out = tmp_path / "x.txt"
         proc = cli("gen", "--s", "2", *args, "--out", str(out))

@@ -16,6 +16,7 @@ from ffdist import (
     sphere_spectrum,
 )
 from ffdist.errors import CapExceeded
+from ffdist.spectral import by_norm, norm_grid
 
 
 def brute_forward(ctx, values):
@@ -33,12 +34,21 @@ def brute_forward(ctx, values):
     return out
 
 
-def random_grid(q, s, seed, complex_valued=True):
+def half(values):
+    """The stored half of a full (q,)*s spectrum: last-axis indices 0 .. (q-1)/2."""
+    return values[..., :(values.shape[-1] + 1) // 2]
+
+
+def dense_passes(mat, values):
+    """Apply the same length-q kernel along every axis of a full grid."""
+    for axis in range(values.ndim):
+        values = np.moveaxis(np.tensordot(mat, np.moveaxis(values, axis, 0), axes=(1, 0)), 0, axis)
+    return values
+
+
+def random_grid(q, s, seed):
     rng = np.random.default_rng(seed)
-    vals = rng.standard_normal((q,) * s)
-    if complex_valued:
-        vals = vals + 1j * rng.standard_normal((q,) * s)
-    return GridFunction(q=q, s=s, values=vals.astype(np.complex128))
+    return GridFunction(q=q, s=s, values=rng.standard_normal((q,) * s))
 
 
 class TestNormSquared:
@@ -56,16 +66,15 @@ class TestNormSquared:
 class TestForwardTransform:
     def test_point_mass_is_flat(self, contexts):
         for q, s in ((3, 2), (5, 1), (7, 2)):
-            vals = np.zeros((q,) * s, dtype=np.complex128)
+            vals = np.zeros((q,) * s)
             vals.flat[0] = 1.0
             F = forward_transform(contexts[q], GridFunction(q=q, s=s, values=vals))
             assert np.allclose(F.values, 1.0 / q ** s, atol=1e-12)
 
     def test_constant_is_point_mass(self, contexts):
         q, s = 5, 2
-        F = forward_transform(contexts[q], GridFunction(
-            q=q, s=s, values=np.ones((q,) * s, dtype=np.complex128)))
-        expected = np.zeros((q,) * s, dtype=np.complex128)
+        F = forward_transform(contexts[q], GridFunction(q=q, s=s, values=np.ones((q,) * s)))
+        expected = np.zeros((q, (q + 1) // 2), dtype=np.complex128)
         expected.flat[0] = 1.0
         assert np.allclose(F.values, expected, atol=1e-12)
 
@@ -78,7 +87,19 @@ class TestForwardTransform:
         f = random_grid(q, s, seed=q * 10 + s)
         got = forward_transform(contexts[q], f).values
         want = brute_forward(contexts[q], f.values)
-        assert np.max(np.abs(got - want)) <= 1e-10
+        assert np.max(np.abs(got - half(want))) <= 1e-10
+
+    @pytest.mark.parametrize("q,s", [(3, 1), (13, 2), (31, 3), (151, 2), (157, 2), (1021, 1)])
+    def test_stores_half_of_the_last_axis(self, q, s):
+        # Both backends, dense (q <= DENSE_MAX_Q) and pocketfft, store the same layout.
+        F = forward_transform(make_field(q), random_grid(q, s, seed=q))
+        assert F.values.shape == (q,) * (s - 1) + ((q + 1) // 2,)
+        assert F.values.dtype == np.complex128
+
+    def test_rejects_complex_grid(self, contexts):
+        f = random_grid(5, 2, 0)
+        with pytest.raises(TypeError, match="complex"):
+            forward_transform(contexts[5], GridFunction(q=5, s=2, values=f.values + 0j))
 
     def test_rejects_spectrum_input(self, contexts):
         F = forward_transform(contexts[3], random_grid(3, 2, 0))
@@ -101,15 +122,17 @@ class TestInverseTransform:
 
     def test_round_trip_binary_grid(self, contexts):
         rng = np.random.default_rng(7)
-        vals = (rng.random((5, 5)) < 0.5).astype(np.complex128)
+        vals = (rng.random((5, 5)) < 0.5).astype(np.float64)
         f = GridFunction(q=5, s=2, values=vals)
         back = inverse_transform(contexts[5], forward_transform(contexts[5], f))
+        assert back.values.dtype == np.float64
         assert np.max(np.abs(back.values - vals)) <= 1e-9
 
     def test_point_mass_spectrum_gives_constant(self, contexts):
-        vals = np.zeros((3, 3), dtype=np.complex128)
+        vals = np.zeros((3, 2), dtype=np.complex128)
         vals[0, 0] = 1.0
         g = inverse_transform(contexts[3], Spectrum(q=3, s=2, values=vals))
+        assert g.values.shape == (3, 3)
         assert np.allclose(g.values, 1.0, atol=1e-12)
 
     def test_rejects_grid_input(self, contexts):
@@ -119,18 +142,18 @@ class TestInverseTransform:
 
 class TestPlancherel:
     def test_single_point(self, contexts):
-        vals = np.zeros((5, 5), dtype=np.complex128)
+        vals = np.zeros((5, 5))
         vals[2, 3] = 1.0
         assert plancherel_gap(contexts[5], GridFunction(q=5, s=2, values=vals)) <= 1e-12
 
     def test_zero_grid(self, contexts):
-        f = GridFunction(q=3, s=2, values=np.zeros((3, 3), dtype=np.complex128))
+        f = GridFunction(q=3, s=2, values=np.zeros((3, 3)))
         assert plancherel_gap(contexts[3], f) == 0.0
 
     @pytest.mark.parametrize("q,s", [(7, 2), (13, 2), (5, 3)])
     def test_random_relative(self, contexts, q, s):
         f = random_grid(q, s, seed=3 * q + s)
-        energy = float(np.sum(np.abs(f.values) ** 2)) / q ** s
+        energy = float(np.sum(f.values ** 2)) / q ** s
         assert plancherel_gap(contexts[q], f) <= 1e-9 * max(1.0, energy)
 
 
@@ -256,33 +279,43 @@ class TestPocketfftBackend:
     """Above spectral.DENSE_MAX_Q the forward transform runs on numpy's pocketfft;
     the inverse runs on it at every q."""
 
-    @pytest.mark.parametrize("complex_valued", (False, True))
-    def test_forward_matches_dense_passes_at_q157(self, complex_valued):
+    @pytest.mark.parametrize("binary", (False, True))
+    def test_forward_matches_dense_passes_at_q157(self, binary):
         from ffdist import spectral
         ctx = make_field(157)
-        g = random_grid(157, 2, seed=3, complex_valued=complex_valued).values
-        if not complex_valued:
-            g = g.real.copy()
+        g = random_grid(157, 2, seed=3).values
+        if binary:
+            g = (g > 0).astype(np.float64)
         got = forward_transform(ctx, GridFunction(q=157, s=2, values=g)).values
-        dense = spectral._axis_passes(spectral._dft_matrices(ctx), g) / 157 ** 2
-        assert got.shape == (157, 157)
-        assert np.max(np.abs(got - dense)) <= 1e-12
+        dense = dense_passes(spectral._dft_matrices(ctx), g) / 157 ** 2
+        assert got.shape == (157, 79)
+        assert np.max(np.abs(got - half(dense))) <= 1e-12
 
     @pytest.mark.parametrize("q", (13, 151, 157))
     def test_inverse_matches_dense_passes(self, q):
         # The inverse runs pocketfft at every q, on both sides of DENSE_MAX_Q.
         from ffdist import spectral
         ctx = make_field(q)
-        F = random_grid(q, 2, seed=4).values
-        got = inverse_transform(ctx, Spectrum(q=q, s=2, values=F)).values
+        F = np.fft.fftn(random_grid(q, 2, seed=4).values)  # a real grid's full spectrum
+        got = inverse_transform(ctx, Spectrum(q=q, s=2, values=half(F))).values
         V = spectral._dft_matrices(ctx)[-np.arange(q) % q]
-        assert np.max(np.abs(got - spectral._axis_passes(V, F))) <= 1e-10
+        assert np.max(np.abs(got - dense_passes(V, F))) <= 1e-10
+
+
+class TestByNorm:
+    """by_norm over the stored half equals the literal sum over the full grid."""
 
     @pytest.mark.parametrize("s", (1, 2, 3, 4))
     @pytest.mark.parametrize("q", (3, 5, 7, 13))
-    def test_hermitian_fill_matches_fftn(self, q, s):
-        from ffdist import spectral
-        g = np.random.default_rng(10 * q + s).standard_normal((q,) * s)
-        full = spectral._hermitian_fill(np.fft.rfftn(g), q)
-        assert full.shape == (q,) * s
-        assert np.max(np.abs(full - np.fft.fftn(g))) <= 1e-12 * q ** s
+    def test_by_norm_matches_full_grid_sum(self, contexts, q, s):
+        ctx = contexts[q]
+        rng = np.random.default_rng(10 * q + s)
+        full_e, full_f = (np.fft.fftn(rng.standard_normal((q,) * s)) for _ in range(2))
+        ng = norm_grid(ctx, s)
+        for v in (np.abs(full_e) ** 2, (np.conj(full_e) * full_f).real):
+            want = np.zeros(q)
+            for m in np.ndindex(*ng.shape):
+                want[ng[m]] += v[m]
+            got = by_norm(ctx, s, half(v))
+            assert got.dtype == np.float64 and got.shape == (q,)
+            assert np.max(np.abs(got - want)) <= 1e-12 * q ** s * np.max(np.abs(v))
