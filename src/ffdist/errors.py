@@ -48,6 +48,12 @@ class PairCapExceeded(CapError):
     """#E * #F over the configured pair cap."""
 
 
+# --- configuration ----------------------------------------------------------
+
+class ConfigError(FFDistError):
+    """Invalid field, sweep or verify configuration (CLI exit code 2)."""
+
+
 # --- set / distribution contracts -------------------------------------------
 
 class FieldMismatch(FFDistError):

@@ -20,6 +20,7 @@ import numpy as np
 from .errors import (
     CapExceeded,
     CompositeModulus,
+    ConfigError,
     EvenModulus,
     ModulusTooLarge,
     ModulusTooSmall,
@@ -78,9 +79,14 @@ def make_field(q: int, grid_cap: int = DEFAULT_GRID_CAP,
     """Validate q and build the inverse / quadratic-character / character tables.
 
     grid_cap and pair_cap are stored on the context for every computation
-    that runs on it.  Raises ModulusTooSmall, EvenModulus, ModulusTooLarge or
-    CompositeModulus when q is not an odd prime in [3, DEFAULT_MODULUS_CAP].
+    that runs on it; a negative cap raises ConfigError (0 is legal and
+    refuses every grid or pair pass).  Raises ModulusTooSmall, EvenModulus,
+    ModulusTooLarge or CompositeModulus when q is not an odd prime in
+    [3, DEFAULT_MODULUS_CAP].
     """
+    for name, cap in (("grid_cap", grid_cap), ("pair_cap", pair_cap)):
+        if cap < 0:
+            raise ConfigError(f"{name} = {cap} must be >= 0")
     q = int(q)
     if q < 3:
         raise ModulusTooSmall(f"q = {q} < 3")

@@ -23,16 +23,12 @@ import numpy as np
 
 from .checks import CHECKERS, PER_FIELD, LemmaReport, release
 from .distance import DEFAULT_RESIDUAL_TOL, PointSet, nu_brute, nu_spectral
-from .errors import FFDistError, PairCapExceeded
+from .errors import ConfigError, FFDistError, PairCapExceeded
 from .field import DEFAULT_GRID_CAP, DEFAULT_PAIR_CAP, FieldContext, check_grid_cap, make_field
 from .generators import GeneratorSpec, generate
 
 CSV_HEADER = ("lemma_id,q,s,sizeE,sizeF,trial,seed,"
               "hypothesis_met,lhs,explicit_pass,measured_constant")
-
-
-class ConfigError(FFDistError):
-    """Invalid sweep/verify configuration (CLI exit code 2)."""
 
 
 @dataclass
@@ -89,6 +85,8 @@ def validate_config(cfg: SweepConfig) -> dict[int, FieldContext]:
     for q in cfg.q_list:
         try:
             contexts[q] = make_field(q, grid_cap=cfg.grid_cap, pair_cap=cfg.pair_cap)
+        except ConfigError:  # a bad cap is not the fault of this q
+            raise
         except FFDistError as exc:
             raise ConfigError(f"q_list entry {q}: {exc}") from None
     for s in cfg.s_list:

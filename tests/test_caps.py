@@ -7,6 +7,8 @@ in this: a table warmed under one context serves a context with another
 cap, and the cap is still checked.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from ffdist.distance import (
     set_spectrum,
     spherical_profile,
 )
-from ffdist.errors import CapExceeded, PairCapExceeded
+from ffdist.errors import CapError, CapExceeded, ConfigError, PairCapExceeded
 from ffdist.field import DEFAULT_GRID_CAP, DEFAULT_PAIR_CAP, make_field
 from ffdist.generators import GeneratorSpec, generate
 from ffdist.spectral import (
@@ -78,6 +80,35 @@ class TestContextCaps:
         with pytest.raises(PairCapExceeded, match="pair cap 29"):
             check_nu_spectral(make_field(7, pair_cap=29), E, F)
         assert check_nu_spectral(make_field(7, pair_cap=30), E, F).explicit_pass
+
+
+class TestNegativeCaps:
+    # A negative cap is a usage error (exit 2), not a cap hit (exit 3).
+    SMALL = ("--q", "13", "--s", "2", "--sizeE", "5", "--sizeF", "5")
+
+    @pytest.mark.parametrize("args", (
+        ("verify", *SMALL, "--cap-pairs", "-1", "--lemma", "nu_spectral"),
+        ("verify", *SMALL, "--cap-grid", "-1", "--lemma", "nu_spectral"),
+        ("bench", *SMALL, "--cap-pairs", "-5"),
+    ), ids=("verify-pairs", "verify-grid", "bench-pairs"))
+    def test_cli_refuses_a_negative_cap(self, args):
+        proc = cli(*args)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("error: ") and "must be >= 0" in proc.stderr
+
+    def test_make_field_refuses_a_negative_cap(self):
+        with pytest.raises(ConfigError, match="pair_cap = -1 must be >= 0") as info:
+            make_field(7, pair_cap=-1)
+        assert not isinstance(info.value, CapError)
+        with pytest.raises(ConfigError, match="grid_cap = -1 must be >= 0"):
+            make_field(7, grid_cap=-1)
+
+    def test_zero_pair_cap_asks_for_spectral_only(self):
+        proc = cli("bench", *self.SMALL, "--reps", "1", "--cap-pairs", "0")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["mode"] == "spectral_only"
 
 
 class TestGridCap:

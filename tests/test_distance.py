@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -5,7 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ffdist import (
+    charsums,
     cross_profile,
+    distance,
     distance_set,
     intersection_count,
     make_field,
@@ -13,6 +16,7 @@ from ffdist import (
     nu_brute,
     nu_spectral,
     set_spectrum,
+    spectral,
     spherical_profile,
     support_lower_bound,
 )
@@ -25,6 +29,14 @@ from ffdist.errors import (
 from conftest import random_set
 
 TWO_POINTS = [(0, 0), (1, 0)]
+
+
+def literal_nu(E, F):
+    """nu by its definition, one x at a time: int64 |x - y|^2 against all of F, mod q."""
+    nu = np.zeros(E.q, dtype=np.int64)
+    for x in E.points:
+        nu += np.bincount(((x - F.points) ** 2).sum(axis=1) % E.q, minlength=E.q)
+    return nu
 
 
 def full_grid_set(q, s):
@@ -98,6 +110,79 @@ class TestNuBrute:
         E = random_set(13, 2, 31, 1)
         F = random_set(13, 2, 17, 2)
         assert int(nu_brute(E, F).nu.sum()) == 31 * 17
+
+    def test_hand_count_at_q3_s3(self):
+        E = make_point_set(3, 3, [(0, 0, 0), (1, 1, 1)])
+        F = make_point_set(3, 3, [(0, 0, 0), (0, 0, 1), (1, 2, 0), (2, 2, 2)])
+        # From (0,0,0): 0, 1, 1 + 4 = 5 = 2, 12 = 0.  From (1,1,1): 3 = 0,
+        # 1 + 1 = 2, 0 + 1 + 1 = 2, 3 = 0.
+        nu = nu_brute(E, F).nu
+        assert nu.tolist() == [4, 1, 3] == literal_nu(E, F).tolist()
+
+    def test_most_axes_an_int64_radix_index_allows(self):
+        # 3**39 < 2**63 < 3**40.
+        rng = np.random.default_rng(5)
+        E = make_point_set(3, 39, rng.integers(0, 3, (60, 39)))
+        F = make_point_set(3, 39, rng.integers(0, 3, (70, 39)))
+        assert np.array_equal(nu_brute(E, F).nu, literal_nu(E, F))
+
+    @pytest.mark.parametrize("s", (1, 3))
+    def test_longest_tables_and_largest_sum(self, s):
+        # q = 1048573 is the largest prime <= 2**20 and 5 mod 8, so 2 is a
+        # nonsquare and i = 2**((q-1)/4) has i^2 = -1: the pair (i,...,i) vs
+        # 0 sums s (q - 1), the last fold entry; (0,...) vs (q-1,...) reads
+        # both ends of the squares table.
+        q = 1048573
+        i = pow(2, (q - 1) // 4, q)
+        assert i * i % q == q - 1
+        rng = np.random.default_rng(s)
+        E = make_point_set(q, s, [(i,) * s, (0,) * s, (q - 1,) * s,
+                                  *rng.integers(0, q, (40, s)).tolist()])
+        F = make_point_set(q, s, [(0,) * s, (q - 1,) * s, (1,) * s,
+                                  *rng.integers(0, q, (50, s)).tolist()])
+        nu = nu_brute(E, F).nu
+        assert nu[(s * (q - 1)) % q] >= 1
+        assert np.array_equal(nu, literal_nu(E, F))
+
+    def test_one_row_per_block(self):
+        # #F > 1_000_000 leaves max(1, 1_000_000 // #F) = 1 row of E per block.
+        E, F = random_set(1021, 2, 3, 1), random_set(1021, 2, 1_000_001, 2)
+        nu = nu_brute(E, F).nu
+        assert nu.dtype == np.int64 and int(nu.sum()) == 3 * 1_000_001
+        assert np.array_equal(nu, literal_nu(E, F))
+
+    def test_last_block_is_partial(self):
+        # 3000 points of F give blocks of 333 rows; 1000 = 3 * 333 + 1.
+        E, F = random_set(31, 3, 1000, 3), random_set(31, 3, 3000, 4)
+        assert np.array_equal(nu_brute(E, F).nu, literal_nu(E, F))
+
+    def test_temporaries_stay_bounded(self):
+        # About 1e6 pairs per block in int32; an int64 (block, #F, s)
+        # difference tensor would peak at 76 MB here.
+        E, F = random_set(31, 3, 2000, 1), random_set(31, 3, 2010, 2)
+        tracemalloc.start()
+        try:
+            nu_brute(E, F)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
+
+    def test_independent_of_every_fourier_route(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oracle reached a Fourier route")
+
+        for name in np.fft.__all__:
+            if callable(getattr(np.fft, name)):
+                monkeypatch.setattr(np.fft, name, refuse)
+        for module in (spectral, charsums):
+            for name, value in vars(module).items():
+                if callable(value) and getattr(value, "__module__", None) == module.__name__:
+                    monkeypatch.setattr(module, name, refuse)
+        for name in ("forward_transform", "by_norm"):
+            monkeypatch.setattr(distance, name, refuse)
+        E, F = random_set(31, 3, 200, 5), random_set(31, 3, 210, 6)
+        assert np.array_equal(nu_brute(E, F).nu, literal_nu(E, F))
 
 
 class TestNuSpectral:
