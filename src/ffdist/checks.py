@@ -28,6 +28,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field
+from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -45,7 +46,7 @@ from .distance import (
     spherical_profile,
 )
 from .field import FieldContext
-from .spectral import half_norm_grid, sphere_spectrum
+from .spectral import half_norm_grid, sphere_counts, sphere_spectrum
 
 # Absolute slack for inequalities that hold with real margin; covers
 # float noise only, never a constant.
@@ -154,25 +155,21 @@ def check_nu_spectral(ctx: FieldContext, E: PointSet, F: PointSet) -> LemmaRepor
 def check_nu_zero_bound(ctx: FieldContext, E: PointSet, F: PointSet) -> LemmaReport:
     """nu(0) <= (21/30) #E #F whenever #E #F >= 900 q^s (s >= 2).
 
-    The remainder term delta = q^(2s) sum_{m != 0} Shat_0(m) conj(Ehat) Fhat
-    obeys |delta| <= q^(s/2) sqrt(#E #F) unconditionally (Cauchy-Schwarz
-    plus Plancherel); that explicit bound is asserted on every input.
+    The remainder delta = nu(0) - |S_0| #E #F / q^s, exact from the cell's
+    nu(0), equals q^(2s) sum_{m != 0} Shat_0(m) conj(Ehat) Fhat and obeys
+    |delta| <= q^(s/2) sqrt(#E #F) unconditionally (Cauchy-Schwarz plus
+    Plancherel); that explicit bound is asserted on every input.
     """
     q, s = E.q, E.s
     mass = E.size * F.size
     hyp = s >= 2 and mass >= 900 * q ** s
 
-    inst = instance(ctx, E, F)
-    _, by_class = charsums.sphere_class_values(ctx, s, 0)
-    G = inst.sig_ef.copy()
-    G[0] -= (np.conj(inst.ehat.values.flat[0]) * inst.fhat.values.flat[0]).real  # drop m = 0
-    delta = q ** (2 * s) * complex(np.dot(by_class, G))
+    nu0 = int(instance(ctx, E, F).spectral.nu[0])
+    delta_abs = float(abs(nu0 - Fraction(int(sphere_counts(ctx, s)[0]) * mass, q ** s)))
     delta_cap = q ** (s / 2) * math.sqrt(mass)
-
-    nu0 = int(inst.spectral.nu[0])
     nu0_cap = (21 / 30) * mass
 
-    ok = abs(delta) <= delta_cap + _SLACK
+    ok = delta_abs <= delta_cap + _SLACK
     if hyp:
         ok = ok and nu0 <= nu0_cap + _SLACK
     return LemmaReport(
@@ -181,7 +178,7 @@ def check_nu_zero_bound(ctx: FieldContext, E: PointSet, F: PointSet) -> LemmaRep
         lhs=float(nu0),
         rhs_terms={
             "two_mass_over_q": 2 * mass / q,
-            "delta_abs": abs(delta),
+            "delta_abs": delta_abs,
             "delta_cap": delta_cap,
             "nu0_cap": nu0_cap,
         },

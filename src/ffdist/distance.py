@@ -114,6 +114,11 @@ def _require_same_field(E: PointSet, F: PointSet) -> None:
         )
 
 
+def _require_field(ctx: FieldContext, E: PointSet) -> None:
+    if E.q != ctx.q:
+        raise FieldMismatch(f"set lives over q={E.q}, field context has q={ctx.q}")
+
+
 def indicator_grid(E: PointSet) -> GridFunction:
     """The 0/1 characteristic function of E as a dense real grid."""
     vals = np.zeros((E.q,) * E.s, dtype=np.float64)
@@ -123,6 +128,7 @@ def indicator_grid(E: PointSet) -> GridFunction:
 
 def set_spectrum(ctx: FieldContext, E: PointSet) -> Spectrum:
     """Fourier transform of the indicator; Ehat(0) = #E / q^s exactly."""
+    _require_field(ctx, E)
     check_grid_cap(ctx, E.s)
     return forward_transform(ctx, indicator_grid(E))
 
@@ -177,6 +183,7 @@ def nu_spectral(ctx: FieldContext, E: PointSet, F: PointSet,
     elsewhere; it is read, never written.
     """
     _require_same_field(E, F)
+    _require_field(ctx, E)
     q, s = E.q, E.s
     if cross is None:
         cross = cross_profile(ctx, E, F)

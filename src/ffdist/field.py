@@ -29,8 +29,9 @@ from .errors import (
 
 # Table memory cap: q complex values per context.
 DEFAULT_MODULUS_CAP = 2 ** 20
-# Grid cap: q**s entries per dense grid (2**22, 64 MB as complex128).  It bounds
-# memory, not time: sphere_bounds runs q transforms, ~1.6 h at q = 2039, s = 2.
+# Grid cap: q**s entries per dense grid (2**22, 32 MB as float64; a half spectrum
+# takes as much).  It bounds memory, not time: sphere_bounds runs q transforms,
+# about 11 min at q = 2039, s = 2.
 DEFAULT_GRID_CAP = 2 ** 22
 # Pair cap: #E * #F pairs for the nu_brute oracle.
 DEFAULT_PAIR_CAP = 10 ** 9

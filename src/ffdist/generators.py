@@ -1,11 +1,12 @@
 """Seeded point-set generators: random and structured/adversarial.
 
 Every generator is deterministic in (q, s, spec): the random kinds run
-on a counter-based Philox stream keyed by spec.seed, so identical specs
-reproduce identical sets with no global state.  A sampled size must lie
-in [1, support], a product set (subspace, product_interval) over
-ctx.grid_cap points is refused before it is built, and a spec that sets
-a size or a params key its kind does not read (READS) is refused.
+on a counter-based Philox stream keyed by spec.seed, which must lie in
+[0, 2**128), so identical specs reproduce identical sets with no global
+state.  A sampled size must lie in [1, support], a product set
+(subspace, product_interval) over ctx.grid_cap points is refused before
+it is built, and a spec that sets a size or a params key its kind does
+not read (READS) is refused.
 """
 
 from __future__ import annotations
@@ -48,6 +49,8 @@ def _choose(spec: GeneratorSpec, n: int, support: str) -> np.ndarray:
         raise BadGenerator(f"{spec.kind} needs a positive size")
     if spec.size > n:
         raise SizeTooLarge(f"size {spec.size} exceeds {support}")
+    if not 0 <= spec.seed < 2 ** 128:
+        raise BadGenerator(f"seed {spec.seed} outside [0, 2**128)")
     rng = np.random.Generator(np.random.Philox(key=spec.seed))
     return rng.choice(n, size=spec.size, replace=False)
 

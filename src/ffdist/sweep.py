@@ -74,8 +74,8 @@ def validate_config(cfg: SweepConfig) -> dict[int, FieldContext]:
     each carrying cfg.grid_cap and cfg.pair_cap to every checker."""
     if cfg.trials < 1:
         raise ConfigError("trials must be >= 1")
-    if not cfg.q_list or not cfg.s_list or not cfg.size_pairs:
-        raise ConfigError("q_list, s_list and size_pairs must be nonempty")
+    if not cfg.q_list or not cfg.s_list or not cfg.size_pairs or not cfg.checkers:
+        raise ConfigError("q_list, s_list, size_pairs and checkers must be nonempty")
     for name in cfg.checkers:
         if name not in CHECKERS:
             raise ConfigError(

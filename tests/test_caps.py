@@ -133,14 +133,20 @@ class TestGridCap:
 
     def test_character_sum_table_reads_the_cap(self):
         # At s = 1 the q x (q - 1) table of the class values outgrows the q**s grid.
+        with pytest.raises(CapExceeded, match="character-sum table 13 x 12 = 156 "
+                                              "entries exceeds grid cap 155"):
+            sphere_spectrum(make_field(13, grid_cap=155), 1, 1, "closed_form")
+        sphere_spectrum(make_field(13, grid_cap=156), 1, 1, "closed_form")
+        # nu_zero builds no such table: it runs under a cap of the q**s grid alone.
         E1, F1 = random_set(13, 1, 5, 1), random_set(13, 1, 6, 2)
-        calls = (lambda ctx: check_nu_zero_bound(ctx, E1, F1),
-                 lambda ctx: sphere_spectrum(ctx, 1, 1, "closed_form"))
-        for call in calls:
-            with pytest.raises(CapExceeded, match="character-sum table 13 x 12 = 156 "
-                                                  "entries exceeds grid cap 155"):
-                call(make_field(13, grid_cap=155))
-            call(make_field(13, grid_cap=156))
+        assert check_nu_zero_bound(make_field(13, grid_cap=13), E1, F1).explicit_pass
+
+    def test_nu_zero_at_large_q_and_s_1(self):
+        # At q = 4099 the class-value table would be 4099 x 4098 entries, over the default cap.
+        proc = cli("verify", "--q", "4099", "--s", "1", "--sizeE", "100", "--sizeF", "100",
+                   "--lemma", "nu_zero")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["explicit_pass"] is True
 
     def test_product_sets_read_the_cap(self):
         specs = (GeneratorSpec("subspace", params={"dim": 2}),

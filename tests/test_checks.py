@@ -1,10 +1,11 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from ffdist import cross_profile, make_point_set, spherical_profile
+from ffdist import charsums, cross_profile, make_point_set, nu_brute, spherical_profile
 from ffdist.checks import (
     CHECKERS,
     check_cross_zero,
@@ -20,6 +21,7 @@ from ffdist.checks import (
     check_sphere_bounds,
     dyadic_decompose,
 )
+from ffdist.sweep import SweepConfig, run_verify
 from conftest import random_set
 from test_distance import full_grid_set
 
@@ -76,6 +78,26 @@ class TestNuZeroBound:
         assert parsed["lemma_id"] == "nu_zero"
         assert set(parsed) == {"lemma_id", "hypothesis_met", "lhs", "rhs_terms",
                                "explicit_pass", "measured_constant", "notes"}
+
+    @pytest.mark.parametrize("s", (1, 2, 3, 4))
+    @pytest.mark.parametrize("q", (3, 5, 7, 13, 31))
+    def test_delta_is_the_exact_remainder_of_nu0(self, contexts, q, s):
+        ctx = contexts[q]
+        E = random_set(q, s, min(q ** s - 1, 60), q + s)
+        F = random_set(q, s, min(q ** s, 45), q * s)
+        rep = check_nu_zero_bound(ctx, E, F)
+        assert rep.explicit_pass
+        # delta = nu(0) - |S_0| #E #F / q^s, with |S_0| counted point by point.
+        norms = sum(c * c for c in np.indices((q,) * s)) % q
+        s0 = int(np.count_nonzero(norms == 0))
+        exact = abs(int(nu_brute(E, F).nu[0]) - Fraction(s0 * E.size * F.size, q ** s))
+        assert rep.rhs_terms["delta_abs"] == float(exact)
+        # It is the spectral sum q^(2s) sum_{m != 0} Shat_0(m) conj(Ehat(m)) Fhat(m).
+        _, by_class = charsums.sphere_class_values(ctx, s, 0)
+        G = cross_profile(ctx, E, F)
+        G[0] -= E.size * F.size / q ** (2 * s)  # drop m = 0
+        spectral_sum = abs(q ** (2 * s) * complex(np.dot(by_class, G)))
+        assert rep.rhs_terms["delta_abs"] == pytest.approx(spectral_sum, rel=1e-9, abs=1e-9)
 
 
 class TestSecondMoment:
@@ -270,6 +292,16 @@ class TestOffzeroMoment:
 
 
 class TestRegistry:
+    def test_no_checker_builds_a_character_sum_table(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a checker built the class-value table")
+
+        monkeypatch.setattr(charsums, "sphere_class_values", refuse)
+        rows = run_verify(SweepConfig(q_list=[7], s_list=[3], size_pairs=[(40, 30)],
+                                      trials=1, seed=0, checkers=sorted(CHECKERS)))
+        assert [r.lemma_id for r in rows] == sorted(CHECKERS)
+        assert all(r.report.explicit_pass is not False for r in rows)
+
     def test_known_names(self, contexts):
         assert set(CHECKERS) == {
             "profile_mass", "nu_spectral", "nu_zero", "second_moment",

@@ -76,6 +76,15 @@ class TestSetSpectrum:
         E = make_point_set(3, 2, TWO_POINTS)
         assert set_spectrum(contexts[3], E).values[0, 0] == pytest.approx(2 / 9)
 
+    @pytest.mark.parametrize("q", (151, 163))  # the dense and the pocketfft backend
+    def test_refuses_a_set_over_another_field(self, monkeypatch, q):
+        E, F = random_set(157, 2, 10, 0), random_set(157, 2, 12, 1)
+        ctx = make_field(q)
+        monkeypatch.setattr(distance, "indicator_grid", None)  # no grid is built
+        for call in (lambda: set_spectrum(ctx, E), lambda: nu_spectral(ctx, E, F)):
+            with pytest.raises(FieldMismatch, match=f"q=157, field context has q={q}"):
+                call()
+
 
 class TestNuBrute:
     def test_two_point_example(self):

@@ -106,6 +106,17 @@ class TestGenerators:
             generate(contexts[5], 2, GeneratorSpec("from_file",
                                                    params={"path": str(path)}))
 
+    @pytest.mark.parametrize("seed", (-1, 2 ** 128), ids=["negative", "2**128"])
+    def test_refuses_a_seed_outside_the_key_range(self, contexts, seed):
+        for kind, params in (("uniform_random", {}), ("sphere_set", {"radius": 1})):
+            with pytest.raises(BadGenerator, match=f"seed {seed} outside"):
+                generate(contexts[5], 2, GeneratorSpec(kind, size=3, seed=seed, params=params))
+
+    def test_seed_range_edges_are_accepted(self, contexts):
+        for seed in (0, 2 ** 128 - 1):
+            assert generate(contexts[5], 2, GeneratorSpec("uniform_random", size=3,
+                                                          seed=seed)).size == 3
+
     def test_unknown_kind(self, contexts):
         with pytest.raises(BadGenerator):
             generate(contexts[5], 2, GeneratorSpec("mystery"))
@@ -412,8 +423,9 @@ class TestCLI:
         (2, ("--q", "5", "--kind", "subspace", "--dim", "1", "--size", "2")),
         (2, ("--q", "5", "--kind", "isotropic_line", "--size", "2", "--radius", "3")),
         (2, ("--q", "5", "--kind", "uniform_random", "--size", "3", "--dim", "2")),
+        (2, ("--q", "5", "--size", "3", "--seed", "-1")),
     ], ids=["uniform-0", "uniform-neg", "sphere-0", "sphere-neg", "subspace-cap",
-            "product-cap", "subspace-size", "line-size-radius", "uniform-dim"])
+            "product-cap", "subspace-size", "line-size-radius", "uniform-dim", "seed-neg"])
     def test_gen_refuses_before_writing(self, tmp_path, code, args):
         out = tmp_path / "x.txt"
         proc = cli("gen", "--s", "2", *args, "--out", str(out))
@@ -422,6 +434,17 @@ class TestCLI:
         assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
         assert "Traceback" not in proc.stderr
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", [
+        ("verify", "--sizeE", "3", "--sizeF", "3"),
+        ("sweep", "--sizes", "3x3", "--out", "x.csv"),
+    ], ids=["verify", "sweep"])
+    def test_empty_checker_list_exit_2(self, tmp_path, command):
+        proc = cli(*command, "--q", "5", "--s", "2", "--lemma", ",", cwd=tmp_path)
+        assert proc.returncode == 2
+        assert "checkers must be nonempty" in proc.stderr
+        assert proc.stdout == ""
+        assert not (tmp_path / "x.csv").exists()
 
     def test_sweep_byte_identical(self, tmp_path):
         args = ("sweep", "--q", "3,5", "--s", "2", "--sizes", "4x6",
