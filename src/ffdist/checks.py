@@ -206,7 +206,7 @@ def check_second_moment(ctx: FieldContext, E: PointSet, F: PointSet) -> LemmaRep
     inst = instance(ctx, E, F)
     lhs = float((inst.brute.nu.astype(np.float64) ** 2).sum())
 
-    cross_sq = np.abs(inst.sig_ef) ** 2
+    cross_sq = inst.sig_ef ** 2
     prod = inst.sig_e * inst.sig_f
 
     terms = {
@@ -256,7 +256,7 @@ def check_cross_zero(ctx: FieldContext, E: PointSet, F: PointSet) -> LemmaReport
 
     inst = instance(ctx, E, F)
     nu0 = int(inst.spectral.nu[0])
-    lhs = float(np.abs(inst.sig_ef[0]) ** 2)
+    lhs = float(inst.sig_ef[0] ** 2)
     main = q ** (-3 * s) * float(nu0) ** 2
     measured = abs(lhs - main) * q ** (3 * s + 1) / (mass * mass)
     return LemmaReport(
@@ -375,13 +375,13 @@ def check_sphere_bounds(ctx: FieldContext, s: int) -> LemmaReport:
             ok &= bool(mags[0] <= caps["origin_cap"] + _SLACK)
         if r == 0 and s % 2 == 0:
             ng = half_norm_grid(ctx, s).ravel()  # after sphere_spectrum checked the grid cap
-            iso = (ng == 0).copy()
+            iso = ng == 0
+            aniso = ~iso
             iso[0] = False
             if iso.any():
                 expected = u * (q ** (-s / 2) - q ** (-s / 2 - 1))
                 exact_gap = float(np.max(np.abs(vals[iso] - expected)))
                 ok &= bool(exact_gap <= 1e-9)
-            aniso = ~(ng == 0)
             ok &= bool(mags[aniso].max() <= caps["isotropic_cap"] + _SLACK)
     caps["exact_value_gap"] = exact_gap
     return LemmaReport(

@@ -10,8 +10,8 @@ buckets the cross-spectrum conj(Ehat) * Fhat by |m|^2, and assembles all
 q counts through the closed-form sphere kernel with two length-q FFTs,
 O(q log q) extra work.
 The pair loop sums each pair's (x_i - y_i)^2 mod q one coordinate at a
-time from a table of squares into an int32 accumulator (sums at most
-s (q - 1) < 2^31), in blocks of about 1e6 pairs, with no Fourier step.
+time from a table of squares into int32 (at most s (q - 1) < 2^31), in
+blocks of about 1e6 pairs, and folds their histogram mod q once; no Fourier step.
 The spectral counts must round back to the brute-force integers; a
 residual above 1e-6 raises RoundingDrift instead of returning drifted
 values.
@@ -46,7 +46,7 @@ from .errors import (
     RoundingDrift,
     UnindexableSpace,
 )
-from .field import DEFAULT_PAIR_CAP, FieldContext, check_grid_cap
+from .field import DEFAULT_PAIR_CAP, FieldContext, check_field, check_grid_cap
 from .spectral import GridFunction, Spectrum, by_norm, forward_transform
 
 DEFAULT_RESIDUAL_TOL = 1e-6
@@ -114,11 +114,6 @@ def _require_same_field(E: PointSet, F: PointSet) -> None:
         )
 
 
-def _require_field(ctx: FieldContext, E: PointSet) -> None:
-    if E.q != ctx.q:
-        raise FieldMismatch(f"set lives over q={E.q}, field context has q={ctx.q}")
-
-
 def indicator_grid(E: PointSet) -> GridFunction:
     """The 0/1 characteristic function of E as a dense real grid."""
     vals = np.zeros((E.q,) * E.s, dtype=np.float64)
@@ -128,7 +123,7 @@ def indicator_grid(E: PointSet) -> GridFunction:
 
 def set_spectrum(ctx: FieldContext, E: PointSet) -> Spectrum:
     """Fourier transform of the indicator; Ehat(0) = #E / q^s exactly."""
-    _require_field(ctx, E)
+    check_field(ctx, "set", E.q)
     check_grid_cap(ctx, E.s)
     return forward_transform(ctx, indicator_grid(E))
 
@@ -142,7 +137,7 @@ def nu_brute(E: PointSet, F: PointSet,
     offset difference (x_i + q - 1) - y_i indexes a table of squares mod q,
     and the s lookups add into one int32 (block, #F) accumulator, whose
     entries stay at most s (q - 1) < 2^31 (3145716 at q <= 2^20 with
-    q^s < 2^63).  A fold table reduces them mod q before the bincount.
+    q^s < 2^63).  Their int64 histogram, of length s q, folds mod q once.
     """
     _require_same_field(E, F)
     if E.size * F.size > pair_cap:
@@ -152,17 +147,16 @@ def nu_brute(E: PointSet, F: PointSet,
     q, s = E.q, E.s
     d = np.arange(1 - q, q)
     squares = (d * d % q).astype(np.int32)  # squares[d + q - 1] = d^2 mod q
-    fold = (np.arange(s * (q - 1) + 1) % q).astype(np.int32)  # fold[n] = n mod q
     X, Y = E.points + (q - 1), F.points
-    nu = np.zeros(q, dtype=np.int64)
+    sums = np.zeros(s * q, dtype=np.int64)  # sums[n] = #pairs whose sum is n
     block = max(1, 1_000_000 // max(1, F.size))
     for lo in range(0, E.size, block):
         rows = X[lo:lo + block]
         acc = np.take(squares, rows[:, None, 0] - Y[None, :, 0])
         for i in range(1, s):
             acc += np.take(squares, rows[:, None, i] - Y[None, :, i])
-        nu += np.bincount(np.take(fold, acc).ravel(), minlength=q)
-    return DistanceDistribution(nu=nu)
+        sums += np.bincount(acc.ravel(), minlength=s * q)
+    return DistanceDistribution(nu=sums.reshape(s, q).sum(axis=0))
 
 
 def nu_spectral(ctx: FieldContext, E: PointSet, F: PointSet,
@@ -183,7 +177,7 @@ def nu_spectral(ctx: FieldContext, E: PointSet, F: PointSet,
     elsewhere; it is read, never written.
     """
     _require_same_field(E, F)
-    _require_field(ctx, E)
+    check_field(ctx, "set", E.q)
     q, s = E.q, E.s
     if cross is None:
         cross = cross_profile(ctx, E, F)
@@ -223,6 +217,7 @@ def spherical_profile(ctx: FieldContext, E: PointSet,
     """sigma_E(r) for all r as a float64 (q,) array: one bucketing pass over |Ehat|^2."""
     if spectrum is None:
         spectrum = set_spectrum(ctx, E)
+    check_field(ctx, "spectrum", spectrum.q)
     return by_norm(ctx, E.s, np.abs(spectrum.values) ** 2)
 
 
@@ -233,6 +228,8 @@ def cross_profile(ctx: FieldContext, E: PointSet, F: PointSet,
     _require_same_field(E, F)
     if spectra is None:
         spectra = (set_spectrum(ctx, E), set_spectrum(ctx, F))
+    for S in spectra:
+        check_field(ctx, "spectrum", S.q)
     return by_norm(ctx, E.s, (np.conj(spectra[0].values) * spectra[1].values).real)
 
 

@@ -22,6 +22,7 @@ from .errors import (
     CompositeModulus,
     ConfigError,
     EvenModulus,
+    FieldMismatch,
     ModulusTooLarge,
     ModulusTooSmall,
     ZeroInverse,
@@ -122,6 +123,12 @@ def check_grid_cap(ctx: FieldContext, s: int) -> None:
     if ctx.q ** s > ctx.grid_cap:
         raise CapExceeded(
             f"q**s = {ctx.q}**{s} = {ctx.q ** s} exceeds grid cap {ctx.grid_cap}")
+
+
+def check_field(ctx: FieldContext, what: str, q: int) -> None:
+    """Raise FieldMismatch, naming both moduli, when data over F_q meets ctx over another field."""
+    if q != ctx.q:
+        raise FieldMismatch(f"{what} lives over q={q}, field context has q={ctx.q}")
 
 
 def inverse(ctx: FieldContext, a: int) -> int:

@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import charsums
-from .field import FieldContext, check_grid_cap, norm_squared  # noqa: F401  (re-exported)
+from .field import FieldContext, check_field, check_grid_cap, norm_squared  # noqa: F401  (re-exported)
 
 # Every function here that builds a q**s grid first checks it against
 # ctx.grid_cap (field.check_grid_cap); the cached tables below stay uncapped.
@@ -108,6 +108,7 @@ def forward_transform(ctx: FieldContext, f: GridFunction) -> Spectrum:
         raise TypeError("input is already a Spectrum; refusing a double transform")
     if np.iscomplexobj(f.values):
         raise TypeError("input grid is complex; a Spectrum stores half of a real grid's transform")
+    check_field(ctx, "grid", f.q)
     check_grid_cap(ctx, f.s)
     if ctx.q <= DENSE_MAX_Q:
         W = _dft_matrices(ctx)
@@ -124,6 +125,7 @@ def inverse_transform(ctx: FieldContext, F: Spectrum) -> GridFunction:
     """f(x) = sum_m e(+m.x/q) fhat(m); exact inverse of forward_transform."""
     if isinstance(F, GridFunction):
         raise TypeError("input is a space-domain GridFunction, not a Spectrum")
+    check_field(ctx, "spectrum", F.q)
     check_grid_cap(ctx, F.s)
     # norm="forward" leaves the inverse sum unscaled.
     vals = np.fft.irfftn(F.values, (ctx.q,) * F.s, axes=range(F.s), norm="forward")

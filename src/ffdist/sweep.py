@@ -74,8 +74,13 @@ def validate_config(cfg: SweepConfig) -> dict[int, FieldContext]:
     each carrying cfg.grid_cap and cfg.pair_cap to every checker."""
     if cfg.trials < 1:
         raise ConfigError("trials must be >= 1")
-    if not cfg.q_list or not cfg.s_list or not cfg.size_pairs or not cfg.checkers:
-        raise ConfigError("q_list, s_list, size_pairs and checkers must be nonempty")
+    for name, entries in (("q_list", cfg.q_list), ("s_list", cfg.s_list),
+                          ("size_pairs", cfg.size_pairs), ("checkers", cfg.checkers)):
+        if not entries:
+            raise ConfigError(f"{name} must be nonempty")
+        repeated = [e for i, e in enumerate(entries) if e in entries[:i]]
+        if repeated:  # one row per (checker, cell): a repeat would rerun and repeat rows
+            raise ConfigError(f"{name} repeats the entry {repeated[0]!r}")
     for name in cfg.checkers:
         if name not in CHECKERS:
             raise ConfigError(

@@ -139,7 +139,7 @@ class TestNuBrute:
     def test_longest_tables_and_largest_sum(self, s):
         # q = 1048573 is the largest prime <= 2**20 and 5 mod 8, so 2 is a
         # nonsquare and i = 2**((q-1)/4) has i^2 = -1: the pair (i,...,i) vs
-        # 0 sums s (q - 1), the last fold entry; (0,...) vs (q-1,...) reads
+        # 0 sums s (q - 1), the top histogram bin; (0,...) vs (q-1,...) reads
         # both ends of the squares table.
         q = 1048573
         i = pow(2, (q - 1) // 4, q)
@@ -296,6 +296,20 @@ class TestProfiles:
         sf = spherical_profile(contexts[13], F)
         cr = np.abs(cross_profile(contexts[13], E, F)) ** 2
         assert np.all(cr <= se * sf + 1e-15)
+
+    def test_spherical_profile_refuses_a_spectrum_over_another_field(self, contexts, monkeypatch):
+        E = random_set(11, 2, 12, seed=3)
+        S = set_spectrum(contexts[7], random_set(7, 2, 12, seed=3))
+        monkeypatch.setattr(distance, "by_norm", None)  # no bucketing runs
+        with pytest.raises(FieldMismatch, match="spectrum lives over q=7, field context has q=11"):
+            spherical_profile(contexts[11], E, spectrum=S)
+
+    def test_cross_profile_refuses_a_spectrum_over_another_field(self, contexts, monkeypatch):
+        E, F = random_set(11, 2, 12, seed=3), random_set(11, 2, 9, seed=4)
+        spectra = (set_spectrum(contexts[11], E), set_spectrum(contexts[7], random_set(7, 2, 9, 4)))
+        monkeypatch.setattr(distance, "by_norm", None)  # no bucketing runs
+        with pytest.raises(FieldMismatch, match="spectrum lives over q=7, field context has q=11"):
+            cross_profile(contexts[11], E, F, spectra=spectra)
 
 
 class TestIntersectionCount:

@@ -229,6 +229,19 @@ class TestSweep:
             run_verify(SweepConfig(q_list=[3], s_list=[2], size_pairs=[(2, 30)],
                                    trials=1, seed=0, checkers=["profile_mass"]))
 
+    @pytest.mark.parametrize("field, repeated, message", [
+        ("q_list", [7, 7], "q_list repeats the entry 7"),
+        ("s_list", [2, 2], "s_list repeats the entry 2"),
+        ("size_pairs", [(5, 5), (5, 5)], r"size_pairs repeats the entry \(5, 5\)"),
+        ("checkers", ["nu_spectral", "nu_spectral"], "checkers repeats the entry 'nu_spectral'"),
+    ], ids=["q_list", "s_list", "size_pairs", "checkers"])
+    def test_repeated_entries_refused(self, field, repeated, message):
+        cfg = dict(q_list=[7], s_list=[2], size_pairs=[(5, 5)], trials=1, seed=0,
+                   checkers=["nu_spectral"])
+        cfg[field] = repeated
+        with pytest.raises(ConfigError, match=message):
+            run_verify(SweepConfig(**cfg))
+
     def test_parse_helpers(self):
         assert parse_sizes("40x40,20x80") == [(40, 40), (20, 80)]
         assert parse_int_list("3,5,7", "x") == [3, 5, 7]
@@ -445,6 +458,26 @@ class TestCLI:
         assert "checkers must be nonempty" in proc.stderr
         assert proc.stdout == ""
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("args", [
+        ("verify", "--q", "7", "--s", "2", "--sizeE", "5", "--sizeF", "5",
+         "--lemma", "nu_spectral,nu_spectral", "--out", "x.out"),
+        ("verify", "--q", "7", "--s", "2", "--sizeE", "5", "--sizeF", "5",
+         "--lemma", "nu_spectral", "--lemma", "nu_spectral", "--out", "x.out"),
+        ("sweep", "--q", "7,7", "--s", "2", "--sizes", "5x5", "--out", "x.out"),
+        ("sweep", "--q", "7", "--s", "2,2", "--sizes", "5x5", "--out", "x.out"),
+        ("sweep", "--q", "7", "--s", "2", "--sizes", "5x5,5x5", "--out", "x.out"),
+        ("sweep", "--q", "7", "--s", "2", "--sizes", "5x5",
+         "--lemma", "nu_spectral,nu_spectral", "--out", "x.out"),
+    ], ids=["verify-lemma", "verify-lemma-twice", "sweep-q", "sweep-s", "sweep-sizes",
+            "sweep-lemma"])
+    def test_repeated_entry_exit_2(self, tmp_path, args):
+        proc = cli(*args, cwd=tmp_path)
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and "repeats the entry" in lines[0], proc.stderr
+        assert proc.stdout == ""
+        assert not (tmp_path / "x.out").exists()
 
     def test_sweep_byte_identical(self, tmp_path):
         args = ("sweep", "--q", "3,5", "--s", "2", "--sizes", "4x6",

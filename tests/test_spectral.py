@@ -12,10 +12,11 @@ from ffdist import (
     make_field,
     norm_squared,
     plancherel_gap,
+    spectral,
     sphere_counts,
     sphere_spectrum,
 )
-from ffdist.errors import CapExceeded
+from ffdist.errors import CapExceeded, FieldMismatch
 from ffdist.spectral import by_norm, norm_grid
 
 
@@ -111,6 +112,14 @@ class TestForwardTransform:
         with pytest.raises(CapExceeded):
             forward_transform(make_field(7, grid_cap=10), f)
 
+    @pytest.mark.parametrize("q", (151, 167))  # the dense and the pocketfft backend
+    def test_refuses_a_grid_over_another_field(self, monkeypatch, q):
+        monkeypatch.setattr(spectral, "_dft_matrices", None)  # no transform runs
+        monkeypatch.setattr(np.fft, "rfftn", None)
+        f = GridFunction(q=163, s=2, values=np.ones((163, 163)))
+        with pytest.raises(FieldMismatch, match=f"grid lives over q=163, field context has q={q}"):
+            forward_transform(make_field(q), f)
+
 
 class TestInverseTransform:
     @pytest.mark.parametrize("q", (3, 5, 7, 13))
@@ -138,6 +147,12 @@ class TestInverseTransform:
     def test_rejects_grid_input(self, contexts):
         with pytest.raises(TypeError):
             inverse_transform(contexts[3], random_grid(3, 2, 0))
+
+    def test_refuses_a_spectrum_over_another_field(self, contexts, monkeypatch):
+        S = forward_transform(contexts[7], random_grid(7, 2, 0))
+        monkeypatch.setattr(np.fft, "irfftn", None)  # no transform runs
+        with pytest.raises(FieldMismatch, match="spectrum lives over q=7, field context has q=11"):
+            inverse_transform(contexts[11], S)
 
 
 class TestPlancherel:
