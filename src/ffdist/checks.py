@@ -19,8 +19,9 @@ comparable across runs.  Hypothesis-failing inputs are reported with
 hypothesis_met=False, never raised, so sweeps can traverse mixed
 ensembles.
 
-The pair checkers of one (ctx, E, F) cell share one Instance, which computes
-each spectrum, profile and nu at most once.
+The checkers of one (ctx, E, F) cell share one Instance, which computes each
+quantity at most once; the next cell of the same field takes over the ones
+that depend on (ctx, s) alone, |S_0| and the sphere_bounds report.
 """
 
 from __future__ import annotations
@@ -100,21 +101,28 @@ class Instance:
     brute = cached_property(lambda self: nu_brute(self.E, self.F, pair_cap=self.ctx.pair_cap))
     spectral = cached_property(lambda self: nu_spectral(self.ctx, self.E, self.F,
                                                         cross=self.sig_ef))
+    # Per-field: functions of (ctx, s) alone, handed on by instance().
+    s0_size = cached_property(lambda self: int(sphere_counts(self.ctx, self.E.s)[0]))
+    sphere_bounds = cached_property(lambda self: check_sphere_bounds(self.ctx, self.E.s))
 
 
 _last: Optional[Instance] = None
 
 
 def instance(ctx: FieldContext, E: PointSet, F: PointSet) -> Instance:
-    """The Instance of (ctx, E, F); the previous one when all three are the same objects."""
+    """The Instance of (ctx, E, F); the previous one when all three are the same objects,
+    else a new one that keeps the previous per-field results when ctx and s are the same."""
     global _last
     if _last is None or _last.ctx is not ctx or _last.E is not E or _last.F is not F:
-        _last = Instance(ctx, E, F)
+        last, _last = _last, Instance(ctx, E, F)
+        if last is not None and last.ctx is ctx and last.E.s == E.s:
+            _last.__dict__.update((k, v) for k, v in vars(last).items()
+                                  if k in ("s0_size", "sphere_bounds"))
     return _last
 
 
 def release() -> None:
-    """Drop the memoised Instance, and with it the cell's spectra."""
+    """Drop the memoised Instance, and with it the cell's spectra and per-field results."""
     global _last
     _last = None
 
@@ -156,16 +164,17 @@ def check_nu_zero_bound(ctx: FieldContext, E: PointSet, F: PointSet) -> LemmaRep
     """nu(0) <= (21/30) #E #F whenever #E #F >= 900 q^s (s >= 2).
 
     The remainder delta = nu(0) - |S_0| #E #F / q^s, exact from the cell's
-    nu(0), equals q^(2s) sum_{m != 0} Shat_0(m) conj(Ehat) Fhat and obeys
-    |delta| <= q^(s/2) sqrt(#E #F) unconditionally (Cauchy-Schwarz plus
-    Plancherel); that explicit bound is asserted on every input.
+    nu(0) and its field's |S_0|, equals q^(2s) sum_{m != 0} Shat_0(m) conj(Ehat)
+    Fhat and obeys |delta| <= q^(s/2) sqrt(#E #F) unconditionally (Cauchy-Schwarz
+    plus Plancherel); that explicit bound is asserted on every input.
     """
     q, s = E.q, E.s
     mass = E.size * F.size
     hyp = s >= 2 and mass >= 900 * q ** s
 
-    nu0 = int(instance(ctx, E, F).spectral.nu[0])
-    delta_abs = float(abs(nu0 - Fraction(int(sphere_counts(ctx, s)[0]) * mass, q ** s)))
+    inst = instance(ctx, E, F)
+    nu0 = int(inst.spectral.nu[0])
+    delta_abs = float(abs(nu0 - Fraction(inst.s0_size * mass, q ** s)))
     delta_cap = q ** (s / 2) * math.sqrt(mass)
     nu0_cap = (21 / 30) * mass
 
@@ -535,7 +544,7 @@ def check_offzero_moment(ctx: FieldContext, E: PointSet, F: PointSet) -> LemmaRe
 
 
 # Uniform (ctx, E, F) -> LemmaReport entry points for sweeps and the CLI;
-# the pair checkers share the cell's Instance through instance().
+# every entry reads the cell's Instance through instance().
 CHECKERS: dict[str, Callable[[FieldContext, PointSet, PointSet], LemmaReport]] = {
     "profile_mass": lambda ctx, E, F: _profile_mass(F, instance(ctx, E, F).sig_f),
     "nu_spectral": check_nu_spectral,
@@ -544,11 +553,8 @@ CHECKERS: dict[str, Callable[[FieldContext, PointSet, PointSet], LemmaReport]] =
     "cross_zero": check_cross_zero,
     "profile_product": check_profile_product,
     "sigma_bound": lambda ctx, E, F: _sigma_bound(E, instance(ctx, E, F).sig_e),
-    "sphere_bounds": lambda ctx, E, F: check_sphere_bounds(ctx, E.s),
+    "sphere_bounds": lambda ctx, E, F: instance(ctx, E, F).sphere_bounds,
     "dyadic": check_dyadic,
     "distance_theorem": check_distance_theorem,
     "offzero_moment": check_offzero_moment,
 }
-
-# Checkers whose report depends on (q, s) alone, not on E or F.
-PER_FIELD = {"sphere_bounds"}

@@ -23,10 +23,6 @@ Spherical averages, each a length-q array indexed by r:
 
 Both are real (E and F are real sets, so Ehat(-m) = conj(Ehat(m)), and m
 and -m share a norm class); each is one spectral.by_norm pass.
-
-Point-set text format (shared with the harness): first line "q s n",
-then n lines of s space-separated integers in [0, q); duplicates are
-rejected.
 """
 
 from __future__ import annotations
@@ -114,6 +110,13 @@ def _require_same_field(E: PointSet, F: PointSet) -> None:
         )
 
 
+def _require_spectra_of(ctx: FieldContext, E: PointSet, spectra: Sequence[Spectrum]) -> None:
+    for S in spectra:
+        check_field(ctx, "spectrum", S.q)
+        if S.s != E.s:
+            raise FieldMismatch(f"spectrum lives over s={S.s}, set over s={E.s}")
+
+
 def indicator_grid(E: PointSet) -> GridFunction:
     """The 0/1 characteristic function of E as a dense real grid."""
     vals = np.zeros((E.q,) * E.s, dtype=np.float64)
@@ -181,6 +184,8 @@ def nu_spectral(ctx: FieldContext, E: PointSet, F: PointSet,
     q, s = E.q, E.s
     if cross is None:
         cross = cross_profile(ctx, E, F)
+    if np.shape(cross) != (q,):
+        raise FieldMismatch(f"cross profile has shape {np.shape(cross)}, expected ({q},) at q={q}")
 
     # B[k] = h[inv(4) * inv(k)] for k in F_q^*, h[n] = sum_w sigma_EF(w) e(w n / q);
     # norm="forward" leaves ifft as the unscaled e(+) sum.
@@ -217,7 +222,7 @@ def spherical_profile(ctx: FieldContext, E: PointSet,
     """sigma_E(r) for all r as a float64 (q,) array: one bucketing pass over |Ehat|^2."""
     if spectrum is None:
         spectrum = set_spectrum(ctx, E)
-    check_field(ctx, "spectrum", spectrum.q)
+    _require_spectra_of(ctx, E, [spectrum])
     return by_norm(ctx, E.s, np.abs(spectrum.values) ** 2)
 
 
@@ -228,8 +233,7 @@ def cross_profile(ctx: FieldContext, E: PointSet, F: PointSet,
     _require_same_field(E, F)
     if spectra is None:
         spectra = (set_spectrum(ctx, E), set_spectrum(ctx, F))
-    for S in spectra:
-        check_field(ctx, "spectrum", S.q)
+    _require_spectra_of(ctx, E, spectra)
     return by_norm(ctx, E.s, (np.conj(spectra[0].values) * spectra[1].values).real)
 
 

@@ -63,11 +63,7 @@ class FieldContext:
 
 
 def _is_prime(n: int) -> bool:
-    """Trial division; adequate for q <= 2**20."""
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
+    """Trial division by odd factors for odd n >= 3; adequate for q <= 2**20."""
     f = 3
     while f * f <= n:
         if n % f == 0:

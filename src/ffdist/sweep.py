@@ -6,13 +6,14 @@ and emits one row per (checker, cell).  Identical configurations give
 byte-identical output: per-trial seeds are stable 64-bit hashes of
 (master seed, q, s, trial, "E"/"F"), floats render with 17 significant
 digits and '.' decimal, and rows are buffered in deterministic order.
-Checkers in PER_FIELD run once per (q, s) and their report is repeated
-on every cell of that field.
+Every checker is called the same way on every cell; checks.instance()
+decides what a cell shares with the cell before it.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import statistics
 import time
@@ -21,7 +22,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .checks import CHECKERS, PER_FIELD, LemmaReport, release
+from .checks import CHECKERS, LemmaReport, release
 from .distance import DEFAULT_RESIDUAL_TOL, PointSet, nu_brute, nu_spectral
 from .errors import ConfigError, FFDistError, PairCapExceeded
 from .field import DEFAULT_GRID_CAP, DEFAULT_PAIR_CAP, FieldContext, check_grid_cap, make_field
@@ -117,20 +118,13 @@ def iter_sweep(cfg: SweepConfig) -> Iterator[SweepRow]:
     Instance is released when the sweep ends or is abandoned."""
     contexts = validate_config(cfg)
     try:
-        for q in cfg.q_list:
-            ctx = contexts[q]
-            for s in cfg.s_list:
-                per_field: dict[str, LemmaReport] = {}
-                for ne, nf in cfg.size_pairs:
-                    for trial in range(cfg.trials):
-                        E, F = cell_sets(ctx, s, (ne, nf), cfg.seed, trial)
-                        for name in cfg.checkers:
-                            report = per_field.get(name) or CHECKERS[name](ctx, E, F)
-                            if name in PER_FIELD:
-                                per_field[name] = report
-                            yield SweepRow(lemma_id=report.lemma_id, q=q, s=s,
-                                           sizeE=ne, sizeF=nf, trial=trial,
-                                           seed=cfg.seed, report=report)
+        for q, s, (ne, nf), trial in itertools.product(cfg.q_list, cfg.s_list, cfg.size_pairs,
+                                                       range(cfg.trials)):
+            E, F = cell_sets(contexts[q], s, (ne, nf), cfg.seed, trial)
+            for name in cfg.checkers:
+                report = CHECKERS[name](contexts[q], E, F)
+                yield SweepRow(lemma_id=report.lemma_id, q=q, s=s, sizeE=ne, sizeF=nf,
+                               trial=trial, seed=cfg.seed, report=report)
     finally:
         release()
 

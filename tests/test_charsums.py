@@ -146,6 +146,14 @@ class TestSphereFourierClosed:
                     assert by_class[w] == pytest.approx(
                         sphere_fourier_closed(ctx, s, r, m), abs=1e-12)
 
+    @pytest.mark.parametrize("s,m,message", [
+        (0, (), "dimension s must be >= 1"),
+        (2, (1, 2, 3), "point has 3 coordinates, expected s = 2"),
+    ])
+    def test_refuses_a_bad_dimension(self, contexts, s, m, message):
+        with pytest.raises(ValueError, match=message):
+            sphere_fourier_closed(contexts[5], s, 1, m)
+
     def test_unit_constant_even_s_is_cq_power(self, contexts):
         for q in (5, 7):
             gd = gauss_data(contexts[q])

@@ -237,6 +237,18 @@ class TestDyadic:
         assert dec.M.size == 0
         assert dec.A == 0.0
 
+    def test_floor_mass_joins_no_level_but_counts(self):
+        q, s = 13, 2
+        i_min = math.ceil(-4 * s * math.log2(q))
+        sig = np.zeros(q)
+        sig[1], sig[2] = 0.5, 2.0 ** (i_min - 2)  # sig[2] lies under the floor
+        companion = np.full(q, 3.0)
+        dec = dyadic_decompose(sig, companion, s)
+        assert dec.chosen_level == -1 and dec.M.tolist() == [1]  # 1/4 < 0.5 <= 1/2
+        assert sum(n for _, _, n in dec.levels) == 1
+        assert dec.product_sum == 1.5 + 3.0 * 2.0 ** (i_min - 2)
+        assert sum(t for _, t, _ in dec.levels) == 1.5
+
     def test_refuses_a_cross_profile(self, contexts):
         E, F = random_set(13, 2, 29, 0), random_set(13, 2, 31, 1)
         sig, cross = spherical_profile(contexts[13], E), cross_profile(contexts[13], E, F)

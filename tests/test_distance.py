@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -57,6 +58,11 @@ class TestPointSet:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             make_point_set(3, 2, [])
+
+    @pytest.mark.parametrize("points", [[(0, 1, 2)], [(0,)], [0, 1]])
+    def test_points_must_be_s_tuples(self, points):
+        with pytest.raises(ValueError, match="points must be 2-tuples"):
+            make_point_set(3, 2, points)
 
 
 class TestSetSpectrum:
@@ -234,6 +240,15 @@ class TestNuSpectral:
         assert np.array_equal(nu_spectral(ctx, E, F, cross=pre).nu,
                               nu_spectral(ctx, E, F).nu)
 
+    @pytest.mark.parametrize("other", ["over-q11", "column"])
+    def test_refuses_a_cross_profile_of_another_shape(self, contexts, other):
+        E, F = random_set(7, 2, 12, seed=3), random_set(7, 2, 9, seed=4)
+        cross = np.ones((7, 1)) if other == "column" else cross_profile(
+            contexts[11], random_set(11, 2, 12, seed=3), random_set(11, 2, 9, seed=4))
+        with pytest.raises(FieldMismatch, match=re.escape(
+                f"shape {cross.shape}, expected (7,) at q=7")):
+            nu_spectral(contexts[7], E, F, cross=cross)
+
     def test_residual_is_exposed(self, contexts):
         E, F = random_set(13, 2, 25, 5), random_set(13, 2, 30, 6)
         assert 0.0 <= nu_spectral(contexts[13], E, F).residual <= 1e-6
@@ -303,6 +318,20 @@ class TestProfiles:
         monkeypatch.setattr(distance, "by_norm", None)  # no bucketing runs
         with pytest.raises(FieldMismatch, match="spectrum lives over q=7, field context has q=11"):
             spherical_profile(contexts[11], E, spectrum=S)
+
+    def test_spherical_profile_refuses_a_spectrum_of_another_dimension(self, contexts,
+                                                                       monkeypatch):
+        S = set_spectrum(contexts[7], random_set(7, 3, 12, seed=3))
+        monkeypatch.setattr(distance, "by_norm", None)  # no bucketing runs
+        with pytest.raises(FieldMismatch, match="spectrum lives over s=3, set over s=2"):
+            spherical_profile(contexts[7], random_set(7, 2, 12, seed=3), spectrum=S)
+
+    def test_cross_profile_refuses_spectra_of_another_dimension(self, contexts, monkeypatch):
+        E = random_set(7, 2, 12, seed=3)
+        S = set_spectrum(contexts[7], random_set(7, 3, 12, seed=3))
+        monkeypatch.setattr(distance, "by_norm", None)  # no bucketing runs
+        with pytest.raises(FieldMismatch, match="spectrum lives over s=3, set over s=2"):
+            cross_profile(contexts[7], E, E, spectra=(S, S))
 
     def test_cross_profile_refuses_a_spectrum_over_another_field(self, contexts, monkeypatch):
         E, F = random_set(11, 2, 12, seed=3), random_set(11, 2, 9, seed=4)

@@ -7,11 +7,15 @@ checker call on fresh copies of the sets.
 """
 
 import gc
+import importlib
+import pkgutil
+import sys
 import weakref
 
 import pytest
 
-from ffdist import checks, distance, sweep
+import ffdist
+from ffdist import checks, distance, spectral, sweep
 from ffdist.checks import (
     CHECKERS,
     check_cross_zero,
@@ -178,9 +182,57 @@ class TestPerField:
         assert len(run_verify(cfg)) == 2
         assert len(calls) == 2  # validation's contexts are the sweep's
 
+    def test_nu_zero_counts_the_zero_sphere_once_per_field(self, monkeypatch):
+        calls = counting(monkeypatch, checks, "sphere_counts")
+        cfg = SweepConfig(q_list=[7], s_list=[3], size_pairs=[(20, 21), (21, 20)],
+                          trials=2, seed=3, checkers=["nu_zero"])
+        rows = run_verify(cfg)
+        assert len(rows) == 4
+        assert len(calls) == 1
+        ctx = make_field(7)
+        for row in rows:
+            E, F = sweep.cell_sets(ctx, 3, (row.sizeE, row.sizeF), cfg.seed, row.trial)
+            assert row.report.to_json() == check_nu_zero_bound(ctx, fresh(E), fresh(F)).to_json()
+
+    def test_direct_calls_share_sphere_bounds_across_cells(self, monkeypatch, contexts):
+        calls = counting(monkeypatch, checks, "sphere_spectrum")
+        ctx = contexts[5]
+        first = CHECKERS["sphere_bounds"](ctx, random_set(5, 2, 4, 1), random_set(5, 2, 6, 2))
+        second = CHECKERS["sphere_bounds"](ctx, random_set(5, 2, 7, 3), random_set(5, 2, 3, 4))
+        assert len(calls) == 5  # q transforms, not 2q
+        assert second is first
+
+    def test_another_context_or_dimension_recomputes(self, monkeypatch, contexts):
+        calls = counting(monkeypatch, checks, "sphere_counts")
+        E2, F2 = random_set(5, 2, 4, 1), random_set(5, 2, 6, 2)
+        E3, F3 = random_set(5, 3, 4, 1), random_set(5, 3, 6, 2)
+        other = make_field(5, pair_cap=10 ** 6)  # same q, other caps
+        for ctx, E, F in ((contexts[5], E2, F2), (contexts[5], fresh(E2), F2),
+                          (other, E2, F2), (other, E3, F3), (contexts[5], E3, F3)):
+            check_nu_zero_bound(ctx, E, F)
+        assert len(calls) == 4
+        checks.release()
+        check_nu_zero_bound(contexts[5], E3, F3)
+        assert len(calls) == 5  # release drops the field's results too
+
     def test_each_field_gets_its_own_report(self):
         cfg = SweepConfig(q_list=[3, 5], s_list=[2, 3], size_pairs=[(2, 3), (3, 2)],
                           trials=1, seed=1, checkers=["sphere_bounds"])
         for row in run_verify(cfg):
             direct = check_sphere_bounds(make_field(row.q), row.s)
             assert row.report.to_json() == direct.to_json()
+
+
+class TestCaches:
+    def test_the_package_keeps_exactly_two_caches(self):
+        # Every module-global of ffdist with cache_clear and cache_info, found the
+        # way a cold benchmark run finds the caches it empties.
+        for mod in pkgutil.iter_modules(ffdist.__path__):
+            if mod.name != "__main__":  # importing it runs the CLI
+                importlib.import_module(f"ffdist.{mod.name}")
+        found = {id(obj): obj for name, mod in list(sys.modules.items())
+                 if name == "ffdist" or name.startswith("ffdist.")
+                 for obj in vars(mod).values()
+                 if callable(getattr(obj, "cache_clear", None))
+                 and callable(getattr(obj, "cache_info", None))}
+        assert {id(spectral._dft_matrices), id(spectral.norm_grid)} == set(found)
