@@ -9,14 +9,13 @@ them together.
 """
 
 from .field import FieldContext, make_field, inverse, quadratic_character, sqrt_mod, additive_character
-from .charsums import GaussData, gauss_data, kloosterman, salie, sphere_fourier_closed
+from .charsums import GaussData, gauss_data, kloosterman, salie
 from .spectral import (
     GridFunction,
     Spectrum,
     norm_squared,
     forward_transform,
     inverse_transform,
-    plancherel_gap,
     enumerate_sphere,
     sphere_counts,
     sphere_spectrum,

@@ -9,7 +9,8 @@ evaluator twisted_sums, with no closed-form shortcuts.  It provides
   * Kloosterman sums K(a, b) = sum_{t != 0} e((a t + b t^-1)/q),
   * Salie sums, the eta-twisted variant, and
   * the closed form for the Fourier transform of the sphere
-    {x : |x|^2 = r} in F_q^s:
+    {x : |x|^2 = r} in F_q^s, evaluated once per norm class |m|^2 by
+    sphere_class_values:
 
       S_r^(m) = chi(m)/q
                 + q^(-s/2-1) c_q^s
@@ -28,14 +29,13 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CapExceeded
-from .field import FieldContext, norm_squared
+from .field import FieldContext
 
 
 @dataclass(frozen=True)
 class GaussData:
     g: complex            # sum_{t != 0} eta(t) e(t/q)
     c_q: complex          # g / sqrt(q); unit modulus
-    epsilon_class: int    # q mod 4
 
 
 def inverse_multiples(ctx: FieldContext, b: Sequence[int] | np.ndarray) -> np.ndarray:
@@ -67,7 +67,7 @@ def gauss_data(ctx: FieldContext) -> GaussData:
     is never assumed here; tests verify it against these computed values.
     """
     g = salie(ctx, 1, 0)
-    return GaussData(g=g, c_q=g / math.sqrt(ctx.q), epsilon_class=ctx.q % 4)
+    return GaussData(g=g, c_q=g / math.sqrt(ctx.q))
 
 
 def kloosterman(ctx: FieldContext, a: int, b: int) -> complex:
@@ -105,19 +105,3 @@ def sphere_class_values(ctx: FieldContext, s: int, r: int) -> tuple[complex, np.
     w_inv4 = np.arange(q, dtype=np.int64) * int(ctx.inv_table[4 % q])
     v = q ** (-s / 2 - 1) * sphere_unit(ctx, s) * twisted_sums(ctx, r, w_inv4, s % 2 == 1)
     return complex(1.0 / q + v[0]), v
-
-
-def sphere_fourier_closed(ctx: FieldContext, s: int, r: int, m: Sequence[int]) -> complex:
-    """Evaluate the displayed closed form at a single frequency m."""
-    q = ctx.q
-    if s < 1:
-        raise ValueError("dimension s must be >= 1")
-    mm = [int(c) % q for c in m]
-    if len(mm) != s:
-        raise ValueError(f"point has {len(mm)} coordinates, expected s = {s}")
-    b = norm_squared(ctx, mm) * int(ctx.inv_table[4 % q])
-    K = complex(twisted_sums(ctx, r, [b], s % 2 == 1)[0])
-    val = q ** (-s / 2 - 1) * sphere_unit(ctx, s) * K
-    if all(c == 0 for c in mm):
-        val += 1.0 / q
-    return val

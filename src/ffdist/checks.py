@@ -127,14 +127,13 @@ def release() -> None:
     _last = None
 
 
-def check_profile_mass(ctx: FieldContext, E: PointSet) -> LemmaReport:
-    """Total spherical mass: sum_r sigma_E(r) = q^(-s) #E (Plancherel)."""
-    return _profile_mass(E, spherical_profile(ctx, E))
+def check_profile_mass(ctx: FieldContext, E: PointSet, F: PointSet) -> LemmaReport:
+    """Total spherical mass of F: sum_r sigma_F(r) = q^(-s) #F (Plancherel).
 
-
-def _profile_mass(E: PointSet, sigma: np.ndarray) -> LemmaReport:
-    lhs = float(sigma.sum())
-    rhs = E.size / E.q ** E.s
+    sigma_F is the cell's profile, from Instance.sig_f; E only names the cell.
+    """
+    lhs = float(instance(ctx, E, F).sig_f.sum())
+    rhs = F.size / F.q ** F.s
     gap = abs(lhs - rhs)
     return LemmaReport(
         lemma_id="profile_mass",
@@ -312,19 +311,17 @@ def check_profile_product(ctx: FieldContext, E: PointSet, F: PointSet) -> LemmaR
     )
 
 
-def check_sigma_bound(ctx: FieldContext, E: PointSet) -> LemmaReport:
+def check_sigma_bound(ctx: FieldContext, E: PointSet, F: PointSet) -> LemmaReport:
     """Pointwise sigma_E(r) <= 2 q^(-s-1) #E + 2 q^(-(3s+1)/2) (#E)^2.
 
     Holds for every r != 0, and for r = 0 too when s is odd.  The
     constant 2 is forced by inserting |Shat_r(0)| <= 2/q and
     |Shat_r(m)| <= 2 q^(-(s+1)/2) into the expansion
-    sigma_E(r) = q^(-s) sum_{x,y in E} Shat_r(y - x).
+    sigma_E(r) = q^(-s) sum_{x,y in E} Shat_r(y - x).  sigma_E is the
+    cell's profile, from Instance.sig_e; F only names the cell.
     """
-    return _sigma_bound(E, spherical_profile(ctx, E))
-
-
-def _sigma_bound(E: PointSet, sig: np.ndarray) -> LemmaReport:
     q, s = E.q, E.s
+    sig = instance(ctx, E, F).sig_e
     checked = sig if s % 2 == 1 else sig[1:]
     bound = 2 * q ** (-s - 1) * E.size + 2 * q ** (-(3 * s + 1) / 2) * E.size ** 2
     worst = float(checked.max())
@@ -373,7 +370,7 @@ def check_sphere_bounds(ctx: FieldContext, s: int) -> LemmaReport:
     exact_gap = 0.0
     u = charsums.sphere_unit(ctx, s)
     for r in range(q):
-        vals = sphere_spectrum(ctx, s, r, "direct").values.ravel()
+        vals = sphere_spectrum(ctx, s, r).values.ravel()
         mags = np.abs(vals)
         nz = mags[1:]  # m = 0 sits at flat index 0
         worst_nonzero = max(worst_nonzero, float(nz.max()))
@@ -546,13 +543,13 @@ def check_offzero_moment(ctx: FieldContext, E: PointSet, F: PointSet) -> LemmaRe
 # Uniform (ctx, E, F) -> LemmaReport entry points for sweeps and the CLI;
 # every entry reads the cell's Instance through instance().
 CHECKERS: dict[str, Callable[[FieldContext, PointSet, PointSet], LemmaReport]] = {
-    "profile_mass": lambda ctx, E, F: _profile_mass(F, instance(ctx, E, F).sig_f),
+    "profile_mass": check_profile_mass,
     "nu_spectral": check_nu_spectral,
     "nu_zero": check_nu_zero_bound,
     "second_moment": check_second_moment,
     "cross_zero": check_cross_zero,
     "profile_product": check_profile_product,
-    "sigma_bound": lambda ctx, E, F: _sigma_bound(E, instance(ctx, E, F).sig_e),
+    "sigma_bound": check_sigma_bound,
     "sphere_bounds": lambda ctx, E, F: instance(ctx, E, F).sphere_bounds,
     "dyadic": check_dyadic,
     "distance_theorem": check_distance_theorem,

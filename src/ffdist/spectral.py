@@ -16,6 +16,10 @@ inverse is pocketfft's irfftn; the forward backend is chosen from q alone:
     q x q table, the last axis first onto its half.  Theta(s q^(s+1) / 2).
   * q > 151: pocketfft's rfftn (Bluestein for prime lengths), O(q^s log q).
     It uses no BLAS, so its bytes do not depend on the BLAS thread count.
+
+sphere_spectrum is the direct transform of a sphere's 0/1 grid; the
+character-sum closed form of the same values is charsums'
+sphere_class_values alone.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import charsums
 from .field import FieldContext, check_field, check_grid_cap, norm_squared  # noqa: F401  (re-exported)
 
 # Every function here that builds a q**s grid first checks it against
@@ -132,14 +135,6 @@ def inverse_transform(ctx: FieldContext, F: Spectrum) -> GridFunction:
     return GridFunction(q=ctx.q, s=F.s, values=vals)
 
 
-def plancherel_gap(ctx: FieldContext, f: GridFunction) -> float:
-    """| sum |fhat|^2 - q^(-s) sum |f|^2 |, computed two-sided."""
-    F = forward_transform(ctx, f)
-    lhs = float(by_norm(ctx, f.s, np.abs(F.values) ** 2).sum())
-    rhs = float(np.sum(f.values ** 2)) / ctx.q ** f.s
-    return abs(lhs - rhs)
-
-
 def sphere_counts(ctx: FieldContext, s: int) -> np.ndarray:
     """counts[r] = |S_r| for every r, from one histogram pass over the grid."""
     check_grid_cap(ctx, s)
@@ -160,20 +155,10 @@ def sphere_indicator(ctx: FieldContext, s: int, r: int) -> GridFunction:
     return GridFunction(q=ctx.q, s=s, values=vals)
 
 
-def sphere_spectrum(ctx: FieldContext, s: int, r: int, mode: str = "direct") -> Spectrum:
-    """Fourier transform of the sphere indicator.
+def sphere_spectrum(ctx: FieldContext, s: int, r: int) -> Spectrum:
+    """Stored half of the sphere indicator's transform, by forward_transform.
 
-    mode="direct" pushes the 0/1 grid through forward_transform;
-    mode="closed_form" fills the grid from the character-sum closed form
-    (one value per norm class).  The two agree to 1e-9 per entry.  Both
-    return the stored half, like every Spectrum.
+    The character-sum closed form of the same values is
+    charsums.sphere_class_values, one value per norm class.
     """
-    if mode == "direct":
-        return forward_transform(ctx, sphere_indicator(ctx, s, r))
-    if mode == "closed_form":
-        check_grid_cap(ctx, s)
-        at_origin, by_class = charsums.sphere_class_values(ctx, s, r)
-        vals = by_class[half_norm_grid(ctx, s)]
-        vals.flat[0] = at_origin
-        return Spectrum(q=ctx.q, s=s, values=vals)
-    raise ValueError(f"unknown mode {mode!r}; expected 'direct' or 'closed_form'")
+    return forward_transform(ctx, sphere_indicator(ctx, s, r))

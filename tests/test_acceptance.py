@@ -19,7 +19,6 @@ from ffdist import (
     nu_brute,
     nu_spectral,
     set_spectrum,
-    sphere_fourier_closed,
     sphere_spectrum,
 )
 from ffdist.checks import (
@@ -39,6 +38,8 @@ from ffdist.generators import GeneratorSpec, generate
 from ffdist.spectral import by_norm, inverse_transform
 from ffdist.sweep import SweepConfig, run_bench, run_verify
 from conftest import cli
+from test_charsums import closed_form
+from test_spectral import closed_form_spectrum
 
 MASTER_SEED = 20240801
 CELLS = [(q, s) for q in (3, 5, 7, 13, 31) for s in (2, 3)]
@@ -129,8 +130,8 @@ def test_criterion_2_sphere_closed_form():
         ctx = make_field(q)
         for s in (2, 3):
             for r in range(q):
-                d = sphere_spectrum(ctx, s, r, "direct").values
-                c = sphere_spectrum(ctx, s, r, "closed_form").values
+                d = sphere_spectrum(ctx, s, r).values
+                c = closed_form_spectrum(ctx, s, r)
                 worst = max(worst, float(np.max(np.abs(d - c))))
     assert worst <= 1e-9
 
@@ -139,11 +140,11 @@ def test_criterion_2_sphere_closed_form():
     sampled = 0.0
     for s in (2, 3):
         # Sampled over the stored half, last-axis indices 0 .. 15.
-        direct = {r: sphere_spectrum(ctx, s, r, "direct").values for r in range(31)}
+        direct = {r: sphere_spectrum(ctx, s, r).values for r in range(31)}
         for _ in range(1000):
             r = int(rng.integers(0, 31))
             m = np.unravel_index(int(rng.integers(0, direct[r].size)), direct[r].shape)
-            got = sphere_fourier_closed(ctx, s, r, m)
+            got = closed_form(ctx, s, r, m)
             sampled = max(sampled, abs(got - direct[r][m]))
     assert sampled <= 1e-9
     print(f"\nACCEPTANCE 2 PASS: closed form vs direct, exhaustive q<=13 "
@@ -169,7 +170,7 @@ def test_criterion_5_explicit_constant_lemmas():
         for _ in range(10):
             E = draw_set(q, s, int(rng.integers(1, top + 1)), rng)
             F = draw_set(q, s, int(rng.integers(1, top + 1)), rng)
-            assert check_sigma_bound(ctx, E).explicit_pass
+            assert check_sigma_bound(ctx, E, F).explicit_pass
             assert check_nu_zero_bound(ctx, E, F).explicit_pass
 
     # feasible dense cell for the 21/30 bound: q = 31, s = 2

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from ffdist import distance, spectral
+from ffdist.charsums import sphere_class_values
 from ffdist.checks import CHECKERS, check_nu_spectral, check_nu_zero_bound
 from ffdist.distance import (
     cross_profile,
@@ -52,7 +53,6 @@ GRID_FUNCTIONS = {
     "enumerate_sphere": lambda ctx: enumerate_sphere(ctx, 2, 1),
     "sphere_indicator": lambda ctx: sphere_indicator(ctx, 2, 1),
     "sphere_spectrum": lambda ctx: sphere_spectrum(ctx, 2, 1),
-    "sphere_spectrum_closed_form": lambda ctx: sphere_spectrum(ctx, 2, 1, "closed_form"),
     "set_spectrum": lambda ctx: set_spectrum(ctx, E),
     "nu_spectral": lambda ctx: nu_spectral(ctx, E, F),
     "spherical_profile": lambda ctx: spherical_profile(ctx, E),
@@ -135,8 +135,8 @@ class TestGridCap:
         # At s = 1 the q x (q - 1) table of the class values outgrows the q**s grid.
         with pytest.raises(CapExceeded, match="character-sum table 13 x 12 = 156 "
                                               "entries exceeds grid cap 155"):
-            sphere_spectrum(make_field(13, grid_cap=155), 1, 1, "closed_form")
-        sphere_spectrum(make_field(13, grid_cap=156), 1, 1, "closed_form")
+            sphere_class_values(make_field(13, grid_cap=155), 1, 1)
+        sphere_class_values(make_field(13, grid_cap=156), 1, 1)
         # nu_zero builds no such table: it runs under a cap of the q**s grid alone.
         E1, F1 = random_set(13, 1, 5, 1), random_set(13, 1, 6, 2)
         assert check_nu_zero_bound(make_field(13, grid_cap=13), E1, F1).explicit_pass

@@ -4,9 +4,16 @@ import math
 import numpy as np
 import pytest
 
-from ffdist import gauss_data, inverse, kloosterman, make_field, salie, sphere_fourier_closed
+from ffdist import gauss_data, inverse, kloosterman, make_field, norm_squared, salie
 from ffdist.charsums import sphere_class_values, sphere_unit
 from conftest import PRIMES_TO_31
+
+
+def closed_form(ctx, s, r, m):
+    """sphere_class_values read at one frequency m: its origin value at m = 0,
+    else its value at the norm class |m|^2."""
+    at_origin, by_class = sphere_class_values(ctx, s, r)
+    return at_origin if not any(c % ctx.q for c in m) else by_class[norm_squared(ctx, m)]
 
 
 def brute_sphere_transform(q, s, r, m):
@@ -51,8 +58,9 @@ class TestGaussData:
         assert gauss_data(make_field(q)).c_q == pytest.approx(1j, abs=1e-9)
 
     def test_epsilon_class(self, contexts):
-        assert gauss_data(contexts[5]).epsilon_class == 1
-        assert gauss_data(contexts[7]).epsilon_class == 3
+        # The class of q mod 4 is the sign of c_q^2 = eta(-1).
+        assert gauss_data(contexts[5]).c_q ** 2 == pytest.approx(1.0, abs=1e-9)
+        assert gauss_data(contexts[7]).c_q ** 2 == pytest.approx(-1.0, abs=1e-9)
 
 
 class TestKloosterman:
@@ -107,16 +115,16 @@ class TestSalie:
 class TestSphereFourierClosed:
     def test_q3_s2_origin(self, contexts):
         # chi term 1/3 plus q^-2 c_3^2 * (-1) * (-1) = 1/9; equals |S_1|/9
-        val = sphere_fourier_closed(contexts[3], 2, 1, (0, 0))
+        val = closed_form(contexts[3], 2, 1, (0, 0))
         assert val == pytest.approx(4 / 9, abs=1e-10)
 
     def test_q5_s2_isotropic_direction(self, contexts):
         # |m|^2 = 1 + 4 = 0 mod 5 and s even: c_5^2 (1/5 - 1/25) = 0.16
-        val = sphere_fourier_closed(contexts[5], 2, 0, (1, 2))
+        val = closed_form(contexts[5], 2, 0, (1, 2))
         assert val == pytest.approx(0.16, abs=1e-10)
 
     def test_q3_s3_salie_branch(self, contexts):
-        val = sphere_fourier_closed(contexts[3], 3, 1, (1, 0, 0))
+        val = closed_form(contexts[3], 3, 1, (1, 0, 0))
         assert abs(val) <= 2 * 3 ** -2 + 1e-12
 
     @pytest.mark.parametrize("q,s", [(3, 2), (5, 2), (3, 3)])
@@ -130,7 +138,7 @@ class TestSphereFourierClosed:
                     rem //= q
                 m = tuple(reversed(m))
                 want = brute_sphere_transform(q, s, r, m)
-                got = sphere_fourier_closed(ctx, s, r, m)
+                got = closed_form(ctx, s, r, m)
                 assert got == pytest.approx(want, abs=1e-9)
 
     def test_class_values_match_single_evaluations(self, contexts):
@@ -139,20 +147,12 @@ class TestSphereFourierClosed:
             for r in range(7):
                 at0, by_class = sphere_class_values(ctx, s, r)
                 assert at0 == pytest.approx(
-                    sphere_fourier_closed(ctx, s, r, (0,) * s), abs=1e-12)
+                    brute_sphere_transform(7, s, r, (0,) * s), abs=1e-12)
                 # m = (1, 0, ...) has norm 1; m = (2, 0, ...) has norm 4
                 for w, m0 in ((1, 1), (4, 2)):
                     m = (m0,) + (0,) * (s - 1)
                     assert by_class[w] == pytest.approx(
-                        sphere_fourier_closed(ctx, s, r, m), abs=1e-12)
-
-    @pytest.mark.parametrize("s,m,message", [
-        (0, (), "dimension s must be >= 1"),
-        (2, (1, 2, 3), "point has 3 coordinates, expected s = 2"),
-    ])
-    def test_refuses_a_bad_dimension(self, contexts, s, m, message):
-        with pytest.raises(ValueError, match=message):
-            sphere_fourier_closed(contexts[5], s, 1, m)
+                        brute_sphere_transform(7, s, r, m), abs=1e-12)
 
     def test_unit_constant_even_s_is_cq_power(self, contexts):
         for q in (5, 7):

@@ -28,16 +28,19 @@ from test_distance import full_grid_set
 
 class TestProfileMass:
     def test_singleton(self, contexts):
-        rep = check_profile_mass(contexts[3], make_point_set(3, 2, [(0, 0)]))
+        S = make_point_set(3, 2, [(0, 0)])
+        rep = check_profile_mass(contexts[3], S, S)
         assert rep.explicit_pass
         assert rep.lhs == pytest.approx(1 / 9)
 
     def test_random(self, contexts):
-        rep = check_profile_mass(contexts[13], random_set(13, 2, 37, 0))
+        S = random_set(13, 2, 37, 0)
+        rep = check_profile_mass(contexts[13], S, S)
         assert rep.explicit_pass
 
     def test_full_grid(self, contexts):
-        rep = check_profile_mass(contexts[5], full_grid_set(5, 2))
+        S = full_grid_set(5, 2)
+        rep = check_profile_mass(contexts[5], S, S)
         assert rep.explicit_pass
         assert rep.lhs == pytest.approx(1.0)
 
@@ -176,16 +179,19 @@ class TestProfileProduct:
 
 class TestSigmaBound:
     def test_singleton(self, contexts):
-        rep = check_sigma_bound(contexts[7], make_point_set(7, 2, [(3, 4)]))
+        S = make_point_set(7, 2, [(3, 4)])
+        rep = check_sigma_bound(contexts[7], S, S)
         assert rep.explicit_pass
 
     def test_random_q13_s2(self, contexts):
-        rep = check_sigma_bound(contexts[13], random_set(13, 2, 60, 6))
+        S = random_set(13, 2, 60, 6)
+        rep = check_sigma_bound(contexts[13], S, S)
         assert rep.explicit_pass
         assert rep.measured_constant is not None
 
     def test_random_q7_s3_includes_r0(self, contexts):
-        rep = check_sigma_bound(contexts[7], random_set(7, 3, 50, 7))
+        S = random_set(7, 3, 50, 7)
+        rep = check_sigma_bound(contexts[7], S, S)
         assert rep.explicit_pass
         # odd s: the bound covers r = 0 as well; worst over all r reported
         sig = spherical_profile(contexts[7], random_set(7, 3, 50, 7))

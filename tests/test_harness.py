@@ -29,7 +29,7 @@ from ffdist.sweep import (
     run_verify,
     trial_seed,
 )
-from conftest import cli
+from conftest import cli, run_python
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -299,6 +299,10 @@ class TestBench:
 
 
 class TestCLI:
+    def test_importing_the_main_module_runs_nothing(self):
+        proc = run_python("-c", "import ffdist.__main__")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+
     def test_selftest_exit_zero(self):
         proc = cli("selftest")
         assert proc.returncode == 0

@@ -39,13 +39,13 @@ from conftest import random_set
 # Each checker called on its own; with fresh copies of the sets, every
 # call computes its own spectra, profiles and nu.
 DIRECT = {
-    "profile_mass": lambda ctx, E, F: check_profile_mass(ctx, F),
+    "profile_mass": check_profile_mass,
     "nu_spectral": check_nu_spectral,
     "nu_zero": check_nu_zero_bound,
     "second_moment": check_second_moment,
     "cross_zero": check_cross_zero,
     "profile_product": check_profile_product,
-    "sigma_bound": lambda ctx, E, F: check_sigma_bound(ctx, E),
+    "sigma_bound": check_sigma_bound,
     "sphere_bounds": lambda ctx, E, F: check_sphere_bounds(ctx, E.s),
     "dyadic": check_dyadic,
     "distance_theorem": check_distance_theorem,
@@ -228,8 +228,7 @@ class TestCaches:
         # Every module-global of ffdist with cache_clear and cache_info, found the
         # way a cold benchmark run finds the caches it empties.
         for mod in pkgutil.iter_modules(ffdist.__path__):
-            if mod.name != "__main__":  # importing it runs the CLI
-                importlib.import_module(f"ffdist.{mod.name}")
+            importlib.import_module(f"ffdist.{mod.name}")
         found = {id(obj): obj for name, mod in list(sys.modules.items())
                  if name == "ffdist" or name.startswith("ffdist.")
                  for obj in vars(mod).values()

@@ -1,4 +1,5 @@
 import cmath
+import sys
 
 import numpy as np
 import pytest
@@ -11,13 +12,13 @@ from ffdist import (
     inverse_transform,
     make_field,
     norm_squared,
-    plancherel_gap,
     spectral,
     sphere_counts,
     sphere_spectrum,
 )
 from ffdist.errors import CapExceeded, FieldMismatch
-from ffdist.spectral import by_norm, norm_grid
+from ffdist.charsums import sphere_class_values
+from ffdist.spectral import by_norm, half_norm_grid, norm_grid
 
 
 def brute_forward(ctx, values):
@@ -47,6 +48,22 @@ def dense_passes(mat, values):
     return values
 
 
+def closed_form_spectrum(ctx, s, r):
+    """sphere_class_values spread over the stored half: by class, origin value at m = 0."""
+    at_origin, by_class = sphere_class_values(ctx, s, r)
+    vals = by_class[half_norm_grid(ctx, s)]
+    vals.flat[0] = at_origin
+    return vals
+
+
+def plancherel_gap(ctx, f):
+    """| sum |fhat|^2 - q^(-s) sum |f|^2 |, both sums taken over the whole grid."""
+    F = forward_transform(ctx, f)
+    lhs = float(by_norm(ctx, f.s, np.abs(F.values) ** 2).sum())
+    rhs = float(np.sum(f.values ** 2)) / ctx.q ** f.s
+    return abs(lhs - rhs)
+
+
 def random_grid(q, s, seed):
     rng = np.random.default_rng(seed)
     return GridFunction(q=q, s=s, values=rng.standard_normal((q,) * s))
@@ -59,9 +76,13 @@ class TestNormSquared:
         assert norm_squared(contexts[7], (2, 3, 1)) == 0
 
     def test_one_function_for_every_module(self):
-        from ffdist import charsums, field, spectral
+        import ffdist
+        from ffdist import field, spectral
         assert spectral.norm_squared is field.norm_squared
-        assert charsums.norm_squared is field.norm_squared
+        holders = [m for n, m in sys.modules.items()
+                   if n.startswith("ffdist.") and hasattr(m, "norm_squared")]
+        assert spectral in holders and field in holders
+        assert all(m.norm_squared is field.norm_squared for m in holders + [ffdist])
 
 
 class TestForwardTransform:
@@ -80,7 +101,7 @@ class TestForwardTransform:
         assert np.allclose(F.values, expected, atol=1e-12)
 
     def test_sphere_indicator_mass(self, contexts):
-        F = sphere_spectrum(contexts[3], 2, 1, "direct")
+        F = sphere_spectrum(contexts[3], 2, 1)
         assert F.values[0, 0] == pytest.approx(4 / 9, abs=1e-12)
 
     @pytest.mark.parametrize("q,s", [(3, 1), (3, 2), (5, 1), (5, 2), (7, 1), (7, 2)])
@@ -214,13 +235,15 @@ class TestSpheres:
 
 
 class TestSphereSpectrum:
+    """The direct transform against the closed form spread over the grid."""
+
     @pytest.mark.parametrize("q,s", [(3, 2), (5, 2), (7, 2), (13, 2),
                                      (3, 3), (5, 3), (7, 3), (13, 3)])
     def test_modes_agree(self, contexts, q, s):
         ctx = contexts[q]
         for r in range(q):
-            d = sphere_spectrum(ctx, s, r, "direct").values
-            c = sphere_spectrum(ctx, s, r, "closed_form").values
+            d = sphere_spectrum(ctx, s, r).values
+            c = closed_form_spectrum(ctx, s, r)
             assert np.max(np.abs(d - c)) <= 1e-9
 
     @pytest.mark.parametrize("q", (3, 5, 7, 13))
@@ -228,18 +251,14 @@ class TestSphereSpectrum:
     def test_origin_value_is_density(self, contexts, q, s):
         counts = sphere_counts(contexts[q], s)
         for r in range(q):
-            for mode in ("direct", "closed_form"):
-                F = sphere_spectrum(contexts[q], s, r, mode)
-                assert abs(F.values.flat[0] - counts[r] / q ** s) <= 1e-12
+            for vals in (sphere_spectrum(contexts[q], s, r).values,
+                         closed_form_spectrum(contexts[q], s, r)):
+                assert abs(vals.flat[0] - counts[r] / q ** s) <= 1e-12
 
     def test_q7_r3_example(self, contexts):
-        d = sphere_spectrum(contexts[7], 2, 3, "direct").values
-        c = sphere_spectrum(contexts[7], 2, 3, "closed_form").values
+        d = sphere_spectrum(contexts[7], 2, 3).values
+        c = closed_form_spectrum(contexts[7], 2, 3)
         assert np.max(np.abs(d - c)) <= 1e-9
-
-    def test_unknown_mode(self, contexts):
-        with pytest.raises(ValueError):
-            sphere_spectrum(contexts[3], 2, 1, "fancy")
 
 
 class TestDeterminism:
@@ -309,12 +328,14 @@ class TestPocketfftBackend:
     @pytest.mark.parametrize("q", (13, 151, 157))
     def test_inverse_matches_dense_passes(self, q):
         # The inverse runs pocketfft at every q, on both sides of DENSE_MAX_Q.
-        from ffdist import spectral
         ctx = make_field(q)
         F = np.fft.fftn(random_grid(q, 2, seed=4).values)  # a real grid's full spectrum
         got = inverse_transform(ctx, Spectrum(q=q, s=2, values=half(F))).values
-        V = spectral._dft_matrices(ctx)[-np.arange(q) % q]
-        assert np.max(np.abs(got - dense_passes(V, F))) <= 1e-10
+        # The reference runs in long double, off BLAS, with the kernel e(+x m / q)
+        # built from 2 pi k / q, so its bytes do not depend on the BLAS thread count.
+        k = np.arange(q)
+        V = np.exp(1j * (np.outer(k, k) % q * (2 * np.pi / np.longdouble(q))))
+        assert np.max(np.abs(got - dense_passes(V, F.astype(np.clongdouble)))) <= 1e-10
 
 
 class TestByNorm:
