@@ -8,12 +8,19 @@ verify the exact identities and explicit-constant inequalities tying
 them together.
 """
 
-from .field import FieldContext, make_field, inverse, quadratic_character, sqrt_mod, additive_character
+from .field import (
+    FieldContext,
+    make_field,
+    inverse,
+    norm_squared,
+    quadratic_character,
+    sqrt_mod,
+    additive_character,
+)
 from .charsums import GaussData, gauss_data, kloosterman, salie
 from .spectral import (
     GridFunction,
     Spectrum,
-    norm_squared,
     forward_transform,
     inverse_transform,
     enumerate_sphere,

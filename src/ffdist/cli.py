@@ -59,7 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--size", type=int, default=None)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--radius", type=int, default=None, help="sphere_set radius")
-    g.add_argument("--dim", type=int, default=None, help="subspace dimension")
     g.add_argument("--lengths", type=str, default=None,
                    help="product_interval side lengths, comma separated")
     g.add_argument("--in-file", type=str, default=None, help="from_file source")
@@ -108,8 +107,6 @@ def _cmd_gen(args) -> int:
     params = {}
     if args.radius is not None:
         params["radius"] = args.radius
-    if args.dim is not None:
-        params["dim"] = args.dim
     if args.lengths is not None:
         params["lengths"] = parse_int_list(args.lengths, "--lengths")
     if args.in_file is not None:
@@ -184,7 +181,7 @@ def _cmd_selftest(args) -> int:
     for r in rows:
         verdict = ("pass" if r.report.explicit_pass
                    else "FAIL" if r.report.explicit_pass is False else "info")
-        print(f"{verdict:4} {r.lemma_id:17} q={r.q} s={r.s} trial={r.trial}")
+        print(f"{verdict:4} {r.report.lemma_id:17} q={r.q} s={r.s} trial={r.trial}")
     print(f"selftest: {len(rows)} checks, {len(failures)} failures")
     return EXIT_OK if all_ok else EXIT_CHECK_FAILED
 

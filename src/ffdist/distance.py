@@ -74,13 +74,20 @@ def check_indexable(q: int, s: int) -> None:
 
 
 def make_point_set(q: int, s: int, points: Iterable[Sequence[int]]) -> PointSet:
-    """Build a PointSet, reducing coordinates mod q and rejecting duplicates."""
-    pts = np.asarray(list(points), dtype=np.int64)
+    """Build a PointSet, reducing integer coordinates mod q and rejecting duplicates.
+
+    Like generate and read_pointset it raises UnindexableSpace for an s or
+    q**s past the radix indices; a malformed list raises ValueError.
+    """
+    check_indexable(q, s)
+    pts = np.asarray(list(points))
     if pts.size == 0:
         raise ValueError("a point set must contain at least one point")
     if pts.ndim != 2 or pts.shape[1] != s:
         raise ValueError(f"points must be {s}-tuples")
-    return sorted_point_set(q, s, pts % q)
+    if pts.dtype.kind not in "iu":
+        raise ValueError(f"coordinates must be int64-range integers, not {pts.dtype}")
+    return sorted_point_set(q, s, pts.astype(np.int64) % q)
 
 
 def sorted_point_set(q: int, s: int, pts: np.ndarray) -> PointSet:

@@ -12,20 +12,8 @@ class FFDistError(Exception):
 
 # --- modulus validation -----------------------------------------------------
 
-class CompositeModulus(FFDistError):
-    """q has a nontrivial factor."""
-
-
-class EvenModulus(FFDistError):
-    """q is even; only odd moduli are supported."""
-
-
-class ModulusTooSmall(FFDistError):
-    """q < 3."""
-
-
-class ModulusTooLarge(FFDistError):
-    """q exceeds the table-memory cap."""
+class BadModulus(FFDistError):
+    """q is not an odd prime in [3, 2**20]; the message says which test failed."""
 
 
 # --- arithmetic -------------------------------------------------------------
@@ -71,15 +59,11 @@ class EmptyOffzeroSupport(FFDistError):
 # --- generators and file I/O ------------------------------------------------
 
 class BadGenerator(FFDistError):
-    """Generator spec violates its preconditions."""
-
-
-class SizeTooLarge(FFDistError):
-    """Requested set size exceeds q**s (or the generator's support)."""
+    """Generator spec violates its preconditions, a size outside [1, support] included."""
 
 
 class ParseError(FFDistError):
-    """Malformed point-set file; message carries the line number."""
+    """Malformed point-set file, out-of-range values included; message carries the line number."""
 
 
 class DuplicatePoint(FFDistError):
@@ -92,7 +76,3 @@ class DuplicatePoint(FFDistError):
 
 class UnindexableSpace(FFDistError):
     """F_q^s has s < 1 or more than 2**63 - 1 points, past int64 radix indices."""
-
-
-class CoordinateOutOfRange(FFDistError):
-    """A file coordinate lies outside [0, q)."""

@@ -17,16 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    CapExceeded,
-    CompositeModulus,
-    ConfigError,
-    EvenModulus,
-    FieldMismatch,
-    ModulusTooLarge,
-    ModulusTooSmall,
-    ZeroInverse,
-)
+from .errors import BadModulus, CapExceeded, ConfigError, FieldMismatch, ZeroInverse
 
 # Table memory cap: q complex values per context.
 DEFAULT_MODULUS_CAP = 2 ** 20
@@ -78,22 +69,21 @@ def make_field(q: int, grid_cap: int = DEFAULT_GRID_CAP,
 
     grid_cap and pair_cap are stored on the context for every computation
     that runs on it; a negative cap raises ConfigError (0 is legal and
-    refuses every grid or pair pass).  Raises ModulusTooSmall, EvenModulus,
-    ModulusTooLarge or CompositeModulus when q is not an odd prime in
-    [3, DEFAULT_MODULUS_CAP].
+    refuses every grid or pair pass).  Raises BadModulus, naming the failed
+    test, when q is not an odd prime in [3, DEFAULT_MODULUS_CAP].
     """
     for name, cap in (("grid_cap", grid_cap), ("pair_cap", pair_cap)):
         if cap < 0:
             raise ConfigError(f"{name} = {cap} must be >= 0")
     q = int(q)
     if q < 3:
-        raise ModulusTooSmall(f"q = {q} < 3")
+        raise BadModulus(f"q = {q} < 3")
     if q % 2 == 0:
-        raise EvenModulus(f"q = {q} is even")
+        raise BadModulus(f"q = {q} is even")
     if q > DEFAULT_MODULUS_CAP:
-        raise ModulusTooLarge(f"q = {q} exceeds cap {DEFAULT_MODULUS_CAP}")
+        raise BadModulus(f"q = {q} exceeds cap {DEFAULT_MODULUS_CAP}")
     if not _is_prime(q):
-        raise CompositeModulus(f"q = {q} is not prime")
+        raise BadModulus(f"q = {q} is not prime")
 
     # inv[a] via the O(q) recurrence inv[a] = -(q//a) * inv[q%a] mod q.
     inv = np.zeros(q, dtype=np.int64)

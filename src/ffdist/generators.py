@@ -3,10 +3,10 @@
 Every generator is deterministic in (q, s, spec): the random kinds run
 on a counter-based Philox stream keyed by spec.seed, which must lie in
 [0, 2**128), so identical specs reproduce identical sets with no global
-state.  A sampled size must lie in [1, support], a product set
-(subspace, product_interval) over ctx.grid_cap points is refused before
-it is built, and a spec that sets a size or a params key its kind does
-not read (READS) is refused.
+state.  A sampled size must lie in [1, support], a product_interval box
+over ctx.grid_cap points is refused before it is built, and a spec that
+sets a size or a params key its kind does not read (READS) is refused.
+A coordinate subspace F_q^k x {0} is the box with sides [q]*k + [1]*(s-k).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Any, Optional
 import numpy as np
 
 from .distance import PointSet, check_indexable, sorted_point_set
-from .errors import BadGenerator, CapExceeded, FieldMismatch, SizeTooLarge
+from .errors import BadGenerator, CapExceeded, FieldMismatch
 from .field import FieldContext, sqrt_mod
 from .spectral import enumerate_sphere
 from . import setio
@@ -28,7 +28,6 @@ READS = {
     "uniform_random": (True, ()),
     "isotropic_line": (False, ()),
     "sphere_set": (True, ("radius",)),
-    "subspace": (False, ("dim",)),
     "product_interval": (False, ("lengths",)),
     "from_file": (False, ("path",)),
 }
@@ -48,20 +47,11 @@ def _choose(spec: GeneratorSpec, n: int, support: str) -> np.ndarray:
     if spec.size is None or spec.size < 1:
         raise BadGenerator(f"{spec.kind} needs a positive size")
     if spec.size > n:
-        raise SizeTooLarge(f"size {spec.size} exceeds {support}")
+        raise BadGenerator(f"size {spec.size} exceeds {support}")
     if not 0 <= spec.seed < 2 ** 128:
         raise BadGenerator(f"seed {spec.seed} outside [0, 2**128)")
     rng = np.random.Generator(np.random.Philox(key=spec.seed))
     return rng.choice(n, size=spec.size, replace=False)
-
-
-def _product(ctx: FieldContext, lengths: list[int]) -> PointSet:
-    """The box [0, l_1) x ... x [0, l_s), refused over ctx.grid_cap points before it is built."""
-    count = math.prod(lengths)
-    if count > ctx.grid_cap:
-        raise CapExceeded(f"product set of {count} points exceeds grid cap {ctx.grid_cap}")
-    grids = np.meshgrid(*[np.arange(v, dtype=np.int64) for v in lengths], indexing="ij")
-    return sorted_point_set(ctx.q, len(lengths), np.stack([g.ravel() for g in grids], axis=1))
 
 
 def generate(ctx: FieldContext, s: int, spec: GeneratorSpec) -> PointSet:
@@ -100,19 +90,15 @@ def generate(ctx: FieldContext, s: int, spec: GeneratorSpec) -> PointSet:
             pts = pts[np.sort(_choose(spec, len(pts), f"|S_{r}| = {len(pts)}"))]
         return sorted_point_set(q, s, pts)
 
-    if spec.kind == "subspace":
-        k = int(spec.params.get("dim", 1))
-        if not 1 <= k <= s:
-            raise BadGenerator(f"subspace dim {k} outside [1, {s}]")
-        return _product(ctx, [q] * k + [1] * (s - k))
-
     if spec.kind == "product_interval":
         lengths = [int(v) for v in spec.params.get("lengths", [])]
         if len(lengths) != s or any(not 1 <= v <= q for v in lengths):
-            raise BadGenerator(
-                f"product_interval needs {s} side lengths in [1, {q}]"
-            )
-        return _product(ctx, lengths)
+            raise BadGenerator(f"product_interval needs {s} side lengths in [1, {q}]")
+        count = math.prod(lengths)  # of the box [0, l_1) x ... x [0, l_s)
+        if count > ctx.grid_cap:
+            raise CapExceeded(f"product set of {count} points exceeds grid cap {ctx.grid_cap}")
+        grids = np.meshgrid(*[np.arange(v, dtype=np.int64) for v in lengths], indexing="ij")
+        return sorted_point_set(q, s, np.stack([g.ravel() for g in grids], axis=1))
 
     path = spec.params.get("path")  # from_file
     if not path:

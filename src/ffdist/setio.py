@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .distance import PointSet, check_indexable, sorted_point_set
-from .errors import CoordinateOutOfRange, DuplicatePoint, ParseError, UnindexableSpace
+from .errors import DuplicatePoint, ParseError, UnindexableSpace
 
 
 def read_pointset(path) -> PointSet:
@@ -47,9 +47,7 @@ def read_pointset(path) -> PointSet:
             raise ParseError(f"{path}:{lineno}: non-integer coordinate") from None
         for v in row:
             if not 0 <= v < q:
-                raise CoordinateOutOfRange(
-                    f"{path}:{lineno}: coordinate {v} outside [0, {q})"
-                )
+                raise ParseError(f"{path}:{lineno}: coordinate {v} outside [0, {q})")
         pts[k] = row
     tail = [t for t in lines[n + 1:] if t.strip()]
     if tail:

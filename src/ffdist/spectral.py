@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .field import FieldContext, check_field, check_grid_cap, norm_squared  # noqa: F401  (re-exported)
+from .field import FieldContext, check_field, check_grid_cap
 
 # Every function here that builds a q**s grid first checks it against
 # ctx.grid_cap (field.check_grid_cap); the cached tables below stay uncapped.

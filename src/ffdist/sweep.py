@@ -46,7 +46,6 @@ class SweepConfig:
 
 @dataclass
 class SweepRow:
-    lemma_id: str
     q: int
     s: int
     sizeE: int
@@ -123,7 +122,7 @@ def iter_sweep(cfg: SweepConfig) -> Iterator[SweepRow]:
             E, F = cell_sets(contexts[q], s, (ne, nf), cfg.seed, trial)
             for name in cfg.checkers:
                 report = CHECKERS[name](contexts[q], E, F)
-                yield SweepRow(lemma_id=report.lemma_id, q=q, s=s, sizeE=ne, sizeF=nf,
+                yield SweepRow(q=q, s=s, sizeE=ne, sizeF=nf,
                                trial=trial, seed=cfg.seed, report=report)
     finally:
         release()
@@ -145,7 +144,7 @@ def _fmt(value) -> str:
 def row_to_csv(row: SweepRow) -> str:
     rep = row.report
     return ",".join([
-        row.lemma_id, str(row.q), str(row.s), str(row.sizeE), str(row.sizeF),
+        rep.lemma_id, str(row.q), str(row.s), str(row.sizeE), str(row.sizeF),
         str(row.trial), str(row.seed), _fmt(rep.hypothesis_met),
         _fmt(rep.lhs), _fmt(rep.explicit_pass), _fmt(rep.measured_constant),
     ])

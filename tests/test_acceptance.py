@@ -235,7 +235,7 @@ def test_criterion_8_measured_constant_regression():
     for row in rows:
         mc = row.report.measured_constant
         assert mc is not None and math.isfinite(mc) and mc >= 0.0
-        key = f"{row.lemma_id}:{row.q}:{row.s}"
+        key = f"{row.report.lemma_id}:{row.q}:{row.s}"
         current[key] = max(current.get(key, 0.0), mc)
 
     if not BASELINE.exists():

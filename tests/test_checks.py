@@ -317,7 +317,7 @@ class TestRegistry:
         monkeypatch.setattr(charsums, "sphere_class_values", refuse)
         rows = run_verify(SweepConfig(q_list=[7], s_list=[3], size_pairs=[(40, 30)],
                                       trials=1, seed=0, checkers=sorted(CHECKERS)))
-        assert [r.lemma_id for r in rows] == sorted(CHECKERS)
+        assert [r.report.lemma_id for r in rows] == sorted(CHECKERS)
         assert all(r.report.explicit_pass is not False for r in rows)
 
     def test_known_names(self, contexts):

@@ -26,6 +26,7 @@ from ffdist.errors import (
     EmptyOffzeroSupport,
     FieldMismatch,
     PairCapExceeded,
+    UnindexableSpace,
 )
 from conftest import random_set
 
@@ -63,6 +64,18 @@ class TestPointSet:
     def test_points_must_be_s_tuples(self, points):
         with pytest.raises(ValueError, match="points must be 2-tuples"):
             make_point_set(3, 2, points)
+
+    def test_refuses_a_space_past_the_radix_indices(self):
+        with pytest.raises(UnindexableSpace, match=r"3\*\*41 exceeds the int64"):
+            make_point_set(3, 41, [[0] * 41])
+
+    def test_refuses_dimension_0(self):
+        with pytest.raises(UnindexableSpace, match="dimension s = 0 must be >= 1"):
+            make_point_set(3, 0, [()])
+
+    def test_refuses_non_integer_coordinates(self):
+        with pytest.raises(ValueError, match="must be int64-range integers, not float64"):
+            make_point_set(7, 2, [(1.5, 2)])
 
 
 class TestSetSpectrum:

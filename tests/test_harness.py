@@ -9,11 +9,9 @@ import pytest
 from ffdist import make_point_set
 from ffdist.errors import (
     BadGenerator,
-    CoordinateOutOfRange,
     DuplicatePoint,
     FieldMismatch,
     ParseError,
-    SizeTooLarge,
 )
 from ffdist.generators import GeneratorSpec, generate
 from ffdist.setio import read_pointset, write_pointset
@@ -62,7 +60,7 @@ class TestGenerators:
         assert not np.array_equal(a.points, b.points)
 
     def test_uniform_random_size_cap(self, contexts):
-        with pytest.raises(SizeTooLarge):
+        with pytest.raises(BadGenerator, match=r"size 10 exceeds q\*\*s = 9"):
             generate(contexts[3], 2, GeneratorSpec("uniform_random", size=10, seed=0))
 
     def test_sphere_set_full_and_sampled(self, contexts):
@@ -78,12 +76,12 @@ class TestGenerators:
             generate(contexts[3], 1, GeneratorSpec("sphere_set", params={"radius": 2}))
 
     def test_subspace(self, contexts):
-        E = generate(contexts[5], 3, GeneratorSpec("subspace", params={"dim": 2}))
-        assert E.size == 25
-        assert np.all(E.points[:, 2] == 0)
-        box = generate(contexts[5], 3, GeneratorSpec("product_interval",
-                                                     params={"lengths": [5, 5, 1]}))
-        assert np.array_equal(E.points, box.points)
+        # The coordinate subspace F_q^k x {0} is the box with sides [q]*k + [1]*(s-k).
+        for k in (1, 2, 3):
+            E = generate(contexts[5], 3, GeneratorSpec(
+                "product_interval", params={"lengths": [5] * k + [1] * (3 - k)}))
+            assert E.size == 5 ** k
+            assert np.all(E.points[:, k:] == 0)
 
     def test_product_interval(self, contexts):
         E = generate(contexts[7], 2, GeneratorSpec("product_interval",
@@ -122,11 +120,11 @@ class TestGenerators:
             generate(contexts[5], 2, GeneratorSpec("mystery"))
 
     @pytest.mark.parametrize("spec, unread", [
-        (GeneratorSpec("subspace", size=2, params={"dim": 1}), "size"),
+        (GeneratorSpec("product_interval", size=2, params={"lengths": [5, 1]}), "size"),
         (GeneratorSpec("isotropic_line", size=2, params={"radius": 3}), "size, radius"),
-        (GeneratorSpec("uniform_random", size=3, params={"dim": 2}), "dim"),
+        (GeneratorSpec("uniform_random", size=3, params={"lengths": [5, 1]}), "lengths"),
         (GeneratorSpec("sphere_set", params={"radius": 1, "lengths": [2, 2]}), "lengths"),
-    ], ids=["subspace-size", "line-size-radius", "uniform-dim", "sphere-lengths"])
+    ], ids=["subspace-size", "line-size-radius", "uniform-lengths", "sphere-lengths"])
     def test_refuses_what_its_kind_does_not_read(self, contexts, spec, unread):
         with pytest.raises(BadGenerator, match=f"kind {spec.kind} does not read {unread}$"):
             generate(contexts[5], 2, spec)
@@ -134,7 +132,7 @@ class TestGenerators:
     @pytest.mark.parametrize("spec", [
         GeneratorSpec("uniform_random", size=30, seed=4),
         GeneratorSpec("sphere_set", params={"radius": 2}),
-        GeneratorSpec("subspace", params={"dim": 1}),
+        GeneratorSpec("product_interval", params={"lengths": [13, 1]}),
         GeneratorSpec("product_interval", params={"lengths": [4, 5]}),
     ])
     def test_outputs_satisfy_point_set_invariants(self, contexts, spec):
@@ -155,7 +153,7 @@ class TestSetIO:
     def test_coordinate_out_of_range(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("3 2 1\n5 0\n")
-        with pytest.raises(CoordinateOutOfRange):
+        with pytest.raises(ParseError, match=r"bad\.txt:2: coordinate 5 outside \[0, 3\)"):
             read_pointset(path)
 
     def test_duplicate_rejected(self, tmp_path):
@@ -434,15 +432,14 @@ class TestCLI:
         (2, ("--q", "13", "--size", "-3")),
         (2, ("--q", "13", "--kind", "sphere_set", "--radius", "1", "--size", "0")),
         (2, ("--q", "13", "--kind", "sphere_set", "--radius", "1", "--size", "-3")),
-        (3, ("--q", "1048573", "--kind", "subspace", "--dim", "2")),
         (3, ("--q", "1048573", "--kind", "product_interval",
              "--lengths", "1048573,1048573")),
-        (2, ("--q", "5", "--kind", "subspace", "--dim", "1", "--size", "2")),
+        (2, ("--q", "5", "--kind", "product_interval", "--lengths", "5,1", "--size", "2")),
         (2, ("--q", "5", "--kind", "isotropic_line", "--size", "2", "--radius", "3")),
-        (2, ("--q", "5", "--kind", "uniform_random", "--size", "3", "--dim", "2")),
+        (2, ("--q", "5", "--kind", "uniform_random", "--size", "3", "--lengths", "5,1")),
         (2, ("--q", "5", "--size", "3", "--seed", "-1")),
-    ], ids=["uniform-0", "uniform-neg", "sphere-0", "sphere-neg", "subspace-cap",
-            "product-cap", "subspace-size", "line-size-radius", "uniform-dim", "seed-neg"])
+    ], ids=["uniform-0", "uniform-neg", "sphere-0", "sphere-neg", "product-cap",
+            "subspace-size", "line-size-radius", "uniform-lengths", "seed-neg"])
     def test_gen_refuses_before_writing(self, tmp_path, code, args):
         out = tmp_path / "x.txt"
         proc = cli("gen", "--s", "2", *args, "--out", str(out))

@@ -149,8 +149,8 @@ class TestSameReports:
         ctx = make_field(q)
         for row in rows:
             E, F = sweep.cell_sets(ctx, s, (ne, nf), cfg.seed, row.trial)
-            direct = DIRECT[row.lemma_id](ctx, fresh(E), fresh(F))
-            assert row.report.to_json() == direct.to_json(), row.lemma_id
+            direct = DIRECT[row.report.lemma_id](ctx, fresh(E), fresh(F))
+            assert row.report.to_json() == direct.to_json(), row.report.lemma_id
 
     def test_interleaved_cells(self, contexts):
         ctx = contexts[13]
