@@ -94,10 +94,9 @@ class Instance:
 
     ehat = cached_property(lambda self: set_spectrum(self.ctx, self.E))
     fhat = cached_property(lambda self: set_spectrum(self.ctx, self.F))
-    sig_e = cached_property(lambda self: spherical_profile(self.ctx, self.E, spectrum=self.ehat))
-    sig_f = cached_property(lambda self: spherical_profile(self.ctx, self.F, spectrum=self.fhat))
-    sig_ef = cached_property(lambda self: cross_profile(self.ctx, self.E, self.F,
-                                                        spectra=(self.ehat, self.fhat)))
+    sig_e = cached_property(lambda self: spherical_profile(self.ctx, self.ehat))
+    sig_f = cached_property(lambda self: spherical_profile(self.ctx, self.fhat))
+    sig_ef = cached_property(lambda self: cross_profile(self.ctx, self.ehat, self.fhat))
     brute = cached_property(lambda self: nu_brute(self.E, self.F, pair_cap=self.ctx.pair_cap))
     spectral = cached_property(lambda self: nu_spectral(self.ctx, self.E, self.F,
                                                         cross=self.sig_ef))
@@ -380,7 +379,7 @@ def check_sphere_bounds(ctx: FieldContext, s: int) -> LemmaReport:
         if s >= 2:
             ok &= bool(mags[0] <= caps["origin_cap"] + _SLACK)
         if r == 0 and s % 2 == 0:
-            ng = half_norm_grid(ctx, s).ravel()  # after sphere_spectrum checked the grid cap
+            ng = half_norm_grid(ctx, s).ravel()
             iso = ng == 0
             aniso = ~iso
             iso[0] = False

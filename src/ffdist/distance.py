@@ -21,8 +21,8 @@ Spherical averages, each a length-q array indexed by r:
     sigma_E(r)   = sum_{|a|^2 = r} |Ehat(a)|^2          (in [0, 1])
     sigma_EF(r)  = sum_{|m|^2 = r} conj(Ehat(m)) Fhat(m)
 
-Both are real (E and F are real sets, so Ehat(-m) = conj(Ehat(m)), and m
-and -m share a norm class); each is one spectral.by_norm pass.
+Both are real (E and F are real sets, so Ehat(-m) = conj(Ehat(m)), and m and -m
+share a norm class); each is one spectral.by_norm pass over the spectra it is given.
 """
 
 from __future__ import annotations
@@ -110,18 +110,12 @@ class DistanceDistribution:
     residual: float = 0.0  # max distance of the counts from integers before rounding
 
 
-def _require_same_field(E: PointSet, F: PointSet) -> None:
-    if E.q != F.q or E.s != F.s:
+def _require_same_field(A: PointSet | Spectrum, B: PointSet | Spectrum) -> None:
+    """Raise FieldMismatch, naming both, unless two sets or two spectra share one (q, s)."""
+    if A.q != B.q or A.s != B.s:
         raise FieldMismatch(
-            f"sets live over (q={E.q}, s={E.s}) and (q={F.q}, s={F.s})"
+            f"inputs live over (q={A.q}, s={A.s}) and (q={B.q}, s={B.s})"
         )
-
-
-def _require_spectra_of(ctx: FieldContext, E: PointSet, spectra: Sequence[Spectrum]) -> None:
-    for S in spectra:
-        check_field(ctx, "spectrum", S.q)
-        if S.s != E.s:
-            raise FieldMismatch(f"spectrum lives over s={S.s}, set over s={E.s}")
 
 
 def indicator_grid(E: PointSet) -> GridFunction:
@@ -183,14 +177,14 @@ def nu_spectral(ctx: FieldContext, E: PointSet, F: PointSet,
     the pre-rounding residual is gated at DEFAULT_RESIDUAL_TOL
     (RoundingDrift).
 
-    Pass cross=cross_profile(ctx, E, F) to reuse a profile computed
+    Pass cross=cross_profile(ctx, Ehat, Fhat) to reuse a profile computed
     elsewhere; it is read, never written.
     """
     _require_same_field(E, F)
     check_field(ctx, "set", E.q)
     q, s = E.q, E.s
     if cross is None:
-        cross = cross_profile(ctx, E, F)
+        cross = cross_profile(ctx, set_spectrum(ctx, E), set_spectrum(ctx, F))
     if np.shape(cross) != (q,):
         raise FieldMismatch(f"cross profile has shape {np.shape(cross)}, expected ({q},) at q={q}")
 
@@ -224,24 +218,17 @@ def distance_set(dist: DistanceDistribution) -> set[int]:
     return {int(j) for j in np.flatnonzero(dist.nu > 0)}
 
 
-def spherical_profile(ctx: FieldContext, E: PointSet,
-                      spectrum: Spectrum | None = None) -> np.ndarray:
+def spherical_profile(ctx: FieldContext, Ehat: Spectrum) -> np.ndarray:
     """sigma_E(r) for all r as a float64 (q,) array: one bucketing pass over |Ehat|^2."""
-    if spectrum is None:
-        spectrum = set_spectrum(ctx, E)
-    _require_spectra_of(ctx, E, [spectrum])
-    return by_norm(ctx, E.s, np.abs(spectrum.values) ** 2)
+    check_field(ctx, "spectrum", Ehat.q)
+    return by_norm(ctx, np.abs(Ehat.values) ** 2)
 
 
-def cross_profile(ctx: FieldContext, E: PointSet, F: PointSet,
-                  spectra: tuple[Spectrum, Spectrum] | None = None,
-                  ) -> np.ndarray:
+def cross_profile(ctx: FieldContext, Ehat: Spectrum, Fhat: Spectrum) -> np.ndarray:
     """sigma_{E,F}(r) = sum_{|m|^2 = r} Re(conj(Ehat(m)) Fhat(m)) as a float64 (q,) array."""
-    _require_same_field(E, F)
-    if spectra is None:
-        spectra = (set_spectrum(ctx, E), set_spectrum(ctx, F))
-    _require_spectra_of(ctx, E, spectra)
-    return by_norm(ctx, E.s, (np.conj(spectra[0].values) * spectra[1].values).real)
+    _require_same_field(Ehat, Fhat)
+    check_field(ctx, "spectrum", Ehat.q)
+    return by_norm(ctx, (np.conj(Ehat.values) * Fhat.values).real)
 
 
 def intersection_count(E: PointSet, F: PointSet) -> int:

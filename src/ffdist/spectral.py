@@ -31,8 +31,8 @@ import numpy as np
 
 from .field import FieldContext, check_field, check_grid_cap
 
-# Every function here that builds a q**s grid first checks it against
-# ctx.grid_cap (field.check_grid_cap); the cached tables below stay uncapped.
+# Every function here that builds or reads a q**s grid (half_norm_grid, so by_norm
+# too) first checks ctx.grid_cap (field.check_grid_cap); the cached tables stay uncapped.
 
 # Largest q transformed forward by the dense passes; above it pocketfft runs.
 # rfftn/dense time of a real 0/1 grid's forward transform (1 BLAS thread,
@@ -91,18 +91,21 @@ def norm_grid(ctx: FieldContext, s: int) -> np.ndarray:
 
 def half_norm_grid(ctx: FieldContext, s: int) -> np.ndarray:
     """|m|^2 mod q on the stored half of a Spectrum: a view of norm_grid."""
+    check_grid_cap(ctx, s)
     return norm_grid(ctx, s)[..., :(ctx.q + 1) // 2]
 
 
-def by_norm(ctx: FieldContext, s: int, values: np.ndarray) -> np.ndarray:
+def by_norm(ctx: FieldContext, values: np.ndarray) -> np.ndarray:
     """out[r] = sum of v(m) over all m in F_q^s with |m|^2 = r, as a float64 (q,) array.
 
-    values holds v, with v(-m) = v(m), on the stored half of a Spectrum: an entry
-    off last-axis index 0 also stands for its negative, of the same norm, so it counts twice.
+    values holds v, with v(-m) = v(m), on the stored half of a Spectrum, so s = values.ndim:
+    an entry off last-axis index 0 also stands for its negative, of the same norm, so it
+    counts twice.
     """
     weights = 2.0 * values
     weights[..., 0] = values[..., 0]
-    return np.bincount(half_norm_grid(ctx, s).ravel(), weights=weights.ravel(), minlength=ctx.q)
+    ng = half_norm_grid(ctx, values.ndim)
+    return np.bincount(ng.ravel(), weights=weights.ravel(), minlength=ctx.q)
 
 
 def forward_transform(ctx: FieldContext, f: GridFunction) -> Spectrum:

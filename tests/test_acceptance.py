@@ -65,7 +65,7 @@ def identity_battery(ctx, E, F):
 
     # Plancherel, relative: indicator energy is exactly #E
     energy = E.size / q ** s
-    plancherel = abs(float(by_norm(ctx, s, np.abs(Ehat.values) ** 2).sum()) - energy)
+    plancherel = abs(float(by_norm(ctx, np.abs(Ehat.values) ** 2).sum()) - energy)
     assert plancherel <= 1e-9 * max(1.0, energy)
 
     # inversion round trip on the indicator
@@ -74,13 +74,13 @@ def identity_battery(ctx, E, F):
     assert inv_gap <= 1e-9
 
     # profile mass
-    prof = spherical_profile(ctx, E, spectrum=Ehat)
+    prof = spherical_profile(ctx, Ehat)
     mass_gap = abs(float(prof.sum()) - energy)
     assert mass_gap <= 1e-10
 
     # nu: spectral equals brute exactly, total mass exact
     brute = nu_brute(E, F)
-    cp = cross_profile(ctx, E, F, spectra=(Ehat, Fhat))
+    cp = cross_profile(ctx, Ehat, Fhat)
     spectral = nu_spectral(ctx, E, F, cross=cp)  # residual gated at 1e-6
     assert np.array_equal(brute.nu, spectral.nu)
     assert int(brute.nu.sum()) == E.size * F.size

@@ -1,7 +1,7 @@
 """The run's caps live on the FieldContext and reach every computation.
 
 make_field(q, grid_cap=..., pair_cap=...) stores both caps; every
-function that builds a q**s grid reads ctx.grid_cap, and the checkers'
+function that builds or reads a q**s grid reads ctx.grid_cap, and the checkers'
 nu_brute pass reads ctx.pair_cap.  The cached per-q tables take no part
 in this: a table warmed under one context serves a context with another
 cap, and the cap is still checked.
@@ -28,8 +28,10 @@ from ffdist.generators import GeneratorSpec, generate
 from ffdist.spectral import (
     GridFunction,
     Spectrum,
+    by_norm,
     enumerate_sphere,
     forward_transform,
+    half_norm_grid,
     inverse_transform,
     norm_grid,
     sphere_counts,
@@ -42,21 +44,25 @@ from conftest import cli, random_set
 # 7**2 = 49 grid entries, one over the cap.
 CAPPED = make_field(7, grid_cap=48)
 E, F = random_set(7, 2, 5, 1), random_set(7, 2, 6, 2)
+# Spectra taken under an uncapped context: bucketing them still reads the cap.
+EHAT, FHAT = set_spectrum(make_field(7), E), set_spectrum(make_field(7), F)
 
-# Every public function that builds a grid on F_q^s, called with its defaults.
+# Every public function that builds or reads a grid on F_q^s, called with its defaults.
 GRID_FUNCTIONS = {
     "forward_transform": lambda ctx: forward_transform(
         ctx, GridFunction(q=7, s=2, values=np.zeros((7, 7)))),
     "inverse_transform": lambda ctx: inverse_transform(
         ctx, Spectrum(q=7, s=2, values=np.zeros((7, 4), dtype=np.complex128))),
+    "half_norm_grid": lambda ctx: half_norm_grid(ctx, 2),
+    "by_norm": lambda ctx: by_norm(ctx, np.ones((7, 4))),
     "sphere_counts": lambda ctx: sphere_counts(ctx, 2),
     "enumerate_sphere": lambda ctx: enumerate_sphere(ctx, 2, 1),
     "sphere_indicator": lambda ctx: sphere_indicator(ctx, 2, 1),
     "sphere_spectrum": lambda ctx: sphere_spectrum(ctx, 2, 1),
     "set_spectrum": lambda ctx: set_spectrum(ctx, E),
     "nu_spectral": lambda ctx: nu_spectral(ctx, E, F),
-    "spherical_profile": lambda ctx: spherical_profile(ctx, E),
-    "cross_profile": lambda ctx: cross_profile(ctx, E, F),
+    "spherical_profile": lambda ctx: spherical_profile(ctx, EHAT),
+    "cross_profile": lambda ctx: cross_profile(ctx, EHAT, FHAT),
 }
 
 
@@ -122,6 +128,7 @@ class TestGridCap:
             GRID_FUNCTIONS["forward_transform"](make_field(7))
         with pytest.raises(CapExceeded, match="exceeds grid cap 48"):
             GRID_FUNCTIONS[name](CAPPED)
+        assert norm_grid.cache_info().misses == int(warm)  # the refusal built no grid
         GRID_FUNCTIONS[name](make_field(7, grid_cap=49))
 
     @pytest.mark.parametrize("name", sorted(CHECKERS))

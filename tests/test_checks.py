@@ -5,7 +5,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ffdist import charsums, cross_profile, make_point_set, nu_brute, spherical_profile
+from ffdist import (
+    charsums,
+    cross_profile,
+    make_point_set,
+    nu_brute,
+    set_spectrum,
+    spherical_profile,
+)
 from ffdist.checks import (
     CHECKERS,
     check_cross_zero,
@@ -97,7 +104,7 @@ class TestNuZeroBound:
         assert rep.rhs_terms["delta_abs"] == float(exact)
         # It is the spectral sum q^(2s) sum_{m != 0} Shat_0(m) conj(Ehat(m)) Fhat(m).
         _, by_class = charsums.sphere_class_values(ctx, s, 0)
-        G = cross_profile(ctx, E, F)
+        G = cross_profile(ctx, set_spectrum(ctx, E), set_spectrum(ctx, F))
         G[0] -= E.size * F.size / q ** (2 * s)  # drop m = 0
         spectral_sum = abs(q ** (2 * s) * complex(np.dot(by_class, G)))
         assert rep.rhs_terms["delta_abs"] == pytest.approx(spectral_sum, rel=1e-9, abs=1e-9)
@@ -194,7 +201,7 @@ class TestSigmaBound:
         rep = check_sigma_bound(contexts[7], S, S)
         assert rep.explicit_pass
         # odd s: the bound covers r = 0 as well; worst over all r reported
-        sig = spherical_profile(contexts[7], random_set(7, 3, 50, 7))
+        sig = spherical_profile(contexts[7], set_spectrum(contexts[7], S))
         assert rep.lhs >= sig[0] - 1e-15
 
 
@@ -216,7 +223,7 @@ class TestDyadic:
     def test_constant_profile_single_level(self, contexts):
         # singleton set at q = 3: sigma is 4/81 on all of F_q^*
         E = make_point_set(3, 2, [(1, 1)])
-        sig = spherical_profile(contexts[3], E)
+        sig = spherical_profile(contexts[3], set_spectrum(contexts[3], E))
         dec = dyadic_decompose(sig, sig, 2)
         assert dec.chosen_level is not None
         assert set(dec.M.tolist()) == {1, 2}
@@ -225,7 +232,7 @@ class TestDyadic:
 
     def test_level_range_and_A(self, contexts):
         E = random_set(13, 2, 29, 0)
-        sig = spherical_profile(contexts[13], E)
+        sig = spherical_profile(contexts[13], set_spectrum(contexts[13], E))
         dec = dyadic_decompose(sig, sig, 2)
         i_min = math.ceil(-8 * math.log2(13))
         assert dec.levels[0][0] == i_min
@@ -257,7 +264,8 @@ class TestDyadic:
 
     def test_refuses_a_cross_profile(self, contexts):
         E, F = random_set(13, 2, 29, 0), random_set(13, 2, 31, 1)
-        sig, cross = spherical_profile(contexts[13], E), cross_profile(contexts[13], E, F)
+        Ehat, Fhat = set_spectrum(contexts[13], E), set_spectrum(contexts[13], F)
+        sig, cross = spherical_profile(contexts[13], Ehat), cross_profile(contexts[13], Ehat, Fhat)
         # A cross profile is real but can be negative; a single-set profile cannot.
         assert cross.dtype == np.float64 and cross.min() < 0 <= sig.min()
         for args in ((cross, sig), (sig, cross)):

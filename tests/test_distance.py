@@ -249,15 +249,17 @@ class TestNuSpectral:
     def test_spectra_reuse_gives_same_result(self, contexts):
         ctx = contexts[13]
         E, F = random_set(13, 2, 25, 5), random_set(13, 2, 30, 6)
-        pre = cross_profile(ctx, E, F)
+        pre = cross_profile(ctx, set_spectrum(ctx, E), set_spectrum(ctx, F))
         assert np.array_equal(nu_spectral(ctx, E, F, cross=pre).nu,
                               nu_spectral(ctx, E, F).nu)
 
     @pytest.mark.parametrize("other", ["over-q11", "column"])
     def test_refuses_a_cross_profile_of_another_shape(self, contexts, other):
         E, F = random_set(7, 2, 12, seed=3), random_set(7, 2, 9, seed=4)
+        ctx = contexts[11]
         cross = np.ones((7, 1)) if other == "column" else cross_profile(
-            contexts[11], random_set(11, 2, 12, seed=3), random_set(11, 2, 9, seed=4))
+            ctx, set_spectrum(ctx, random_set(11, 2, 12, seed=3)),
+            set_spectrum(ctx, random_set(11, 2, 9, seed=4)))
         with pytest.raises(FieldMismatch, match=re.escape(
                 f"shape {cross.shape}, expected (7,) at q=7")):
             nu_spectral(contexts[7], E, F, cross=cross)
@@ -294,64 +296,57 @@ class TestDistanceSet:
 class TestProfiles:
     def test_singleton_profile(self, contexts):
         E = make_point_set(3, 2, [(1, 1)])
-        prof = spherical_profile(contexts[3], E)
+        prof = spherical_profile(contexts[3], set_spectrum(contexts[3], E))
         assert np.allclose(prof, np.array([1, 4, 4]) / 81, atol=1e-12)
 
     @pytest.mark.parametrize("q,s", [(3, 2), (7, 2), (5, 3)])
     def test_mass_identity(self, contexts, q, s):
         E = random_set(q, s, min(q ** s, 11), seed=q + s)
-        prof = spherical_profile(contexts[q], E)
+        prof = spherical_profile(contexts[q], set_spectrum(contexts[q], E))
         assert abs(prof.sum() - E.size / q ** s) <= 1e-12
 
     def test_cross_of_set_with_itself(self, contexts):
-        E = random_set(7, 2, 12, seed=3)
-        single = spherical_profile(contexts[7], E)
-        cross = cross_profile(contexts[7], E, E)
+        ctx = contexts[7]
+        Ehat = set_spectrum(ctx, random_set(7, 2, 12, seed=3))
+        single, cross = spherical_profile(ctx, Ehat), cross_profile(ctx, Ehat, Ehat)
         assert (single.dtype, single.shape) == (np.float64, (7,))
         assert (cross.dtype, cross.shape) == (np.float64, (7,))
         assert np.max(np.abs(cross - single)) <= 1e-12
 
     def test_values_in_unit_interval(self, contexts):
         E = random_set(13, 2, 100, seed=4)
-        vals = spherical_profile(contexts[13], E)
+        vals = spherical_profile(contexts[13], set_spectrum(contexts[13], E))
         assert np.all(vals >= 0)
         assert np.all(vals <= E.size / 13 ** 2 + 1e-12)
 
     def test_pointwise_cauchy_schwarz(self, contexts):
-        E = random_set(13, 2, 60, seed=8)
-        F = random_set(13, 2, 45, seed=9)
-        se = spherical_profile(contexts[13], E)
-        sf = spherical_profile(contexts[13], F)
-        cr = np.abs(cross_profile(contexts[13], E, F)) ** 2
+        ctx = contexts[13]
+        Ehat = set_spectrum(ctx, random_set(13, 2, 60, seed=8))
+        Fhat = set_spectrum(ctx, random_set(13, 2, 45, seed=9))
+        se, sf = spherical_profile(ctx, Ehat), spherical_profile(ctx, Fhat)
+        cr = np.abs(cross_profile(ctx, Ehat, Fhat)) ** 2
         assert np.all(cr <= se * sf + 1e-15)
 
     def test_spherical_profile_refuses_a_spectrum_over_another_field(self, contexts, monkeypatch):
-        E = random_set(11, 2, 12, seed=3)
         S = set_spectrum(contexts[7], random_set(7, 2, 12, seed=3))
         monkeypatch.setattr(distance, "by_norm", None)  # no bucketing runs
         with pytest.raises(FieldMismatch, match="spectrum lives over q=7, field context has q=11"):
-            spherical_profile(contexts[11], E, spectrum=S)
-
-    def test_spherical_profile_refuses_a_spectrum_of_another_dimension(self, contexts,
-                                                                       monkeypatch):
-        S = set_spectrum(contexts[7], random_set(7, 3, 12, seed=3))
-        monkeypatch.setattr(distance, "by_norm", None)  # no bucketing runs
-        with pytest.raises(FieldMismatch, match="spectrum lives over s=3, set over s=2"):
-            spherical_profile(contexts[7], random_set(7, 2, 12, seed=3), spectrum=S)
+            spherical_profile(contexts[11], S)
 
     def test_cross_profile_refuses_spectra_of_another_dimension(self, contexts, monkeypatch):
-        E = random_set(7, 2, 12, seed=3)
-        S = set_spectrum(contexts[7], random_set(7, 3, 12, seed=3))
+        Ehat = set_spectrum(contexts[7], random_set(7, 2, 12, seed=3))
+        Fhat = set_spectrum(contexts[7], random_set(7, 3, 12, seed=3))
         monkeypatch.setattr(distance, "by_norm", None)  # no bucketing runs
-        with pytest.raises(FieldMismatch, match="spectrum lives over s=3, set over s=2"):
-            cross_profile(contexts[7], E, E, spectra=(S, S))
+        with pytest.raises(FieldMismatch, match=re.escape(
+                "inputs live over (q=7, s=2) and (q=7, s=3)")):
+            cross_profile(contexts[7], Ehat, Fhat)
 
     def test_cross_profile_refuses_a_spectrum_over_another_field(self, contexts, monkeypatch):
-        E, F = random_set(11, 2, 12, seed=3), random_set(11, 2, 9, seed=4)
-        spectra = (set_spectrum(contexts[11], E), set_spectrum(contexts[7], random_set(7, 2, 9, 4)))
+        Ehat = set_spectrum(contexts[7], random_set(7, 2, 12, seed=3))
+        Fhat = set_spectrum(contexts[7], random_set(7, 2, 9, seed=4))
         monkeypatch.setattr(distance, "by_norm", None)  # no bucketing runs
         with pytest.raises(FieldMismatch, match="spectrum lives over q=7, field context has q=11"):
-            cross_profile(contexts[11], E, F, spectra=spectra)
+            cross_profile(contexts[11], Ehat, Fhat)
 
 
 class TestIntersectionCount:
@@ -367,7 +362,8 @@ class TestIntersectionCount:
         # #(E n F) = q^s * sum_m conj(Ehat) Fhat = q^s * sum_r sigma_EF(r), real
         q, s = 13, 2
         E, F = random_set(q, s, 50, 10), random_set(q, s, 70, 11)
-        cross = cross_profile(contexts[q], E, F)
+        ctx = contexts[q]
+        cross = cross_profile(ctx, set_spectrum(ctx, E), set_spectrum(ctx, F))
         assert cross.dtype == np.float64
         assert abs(float(cross.sum()) * q ** s - intersection_count(E, F)) <= 1e-8
 
@@ -413,7 +409,7 @@ class TestSecondMomentIdentity:
         F = random_set(q, s, min(q ** s - 1, 17), seed=q + 1)
         nu = nu_brute(E, F).nu.astype(float)
         lhs = float((nu ** 2).sum())
-        cross = cross_profile(ctx, E, F)
+        cross = cross_profile(ctx, set_spectrum(ctx, E), set_spectrum(ctx, F))
         inter = intersection_count(E, F)
         rhs = (E.size * F.size) ** 2 / q \
             + q ** (3 * s) * float(np.sum(np.abs(cross) ** 2)) \
@@ -422,7 +418,7 @@ class TestSecondMomentIdentity:
 
     def test_singleton_hand_instance(self, contexts):
         # E = F = one point, q = 3, s = 2: 1 = 1/3 + 11/3 - 3
-        E = make_point_set(3, 2, [(0, 0)])
-        cross = cross_profile(contexts[3], E, E)
+        Ehat = set_spectrum(contexts[3], make_point_set(3, 2, [(0, 0)]))
+        cross = cross_profile(contexts[3], Ehat, Ehat)
         assert 3 ** 6 * float(np.sum(np.abs(cross) ** 2)) == pytest.approx(11 / 3)
         assert (1 * 1) ** 2 / 3 + 11 / 3 - 3 == pytest.approx(1.0)

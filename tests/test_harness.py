@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 import shlex
 from pathlib import Path
 
@@ -179,6 +180,15 @@ class TestSetIO:
         path.write_text("5 2 1\n1 x\n")
         with pytest.raises(ParseError, match=":2:"):
             read_pointset(path)
+        for text, where in (("", ": empty file"),
+                            ("5 2 x\n1 2\n", ":1: header must be three integers"),
+                            ("2 2 1\n1 1\n", ":1: need q >= 3, s >= 1, n >= 1"),
+                            ("5 0 1\n\n", ":1: need q >= 3, s >= 1, n >= 1"),
+                            ("5 2 0\n", ":1: need q >= 3, s >= 1, n >= 1"),
+                            ("5 2 1\n1 2 3\n", ":2: expected 2 coordinates")):
+            path.write_text(text)
+            with pytest.raises(ParseError, match=re.escape(f"{path}{where}")):
+                read_pointset(path)
 
     def test_write_read_roundtrip(self, tmp_path):
         E = make_point_set(7, 3, [(1, 2, 3), (0, 0, 6), (4, 5, 1)])
@@ -223,6 +233,12 @@ class TestSweep:
         with pytest.raises(ConfigError, match="trials"):
             run_verify(SweepConfig(q_list=[3], s_list=[2], size_pairs=[(2, 3)],
                                    trials=0, seed=0, checkers=["profile_mass"]))
+        with pytest.raises(ConfigError, match="s_list entry 0: dimension must be >= 1"):
+            run_verify(SweepConfig(q_list=[3], s_list=[0], size_pairs=[(2, 3)],
+                                   trials=1, seed=0, checkers=["profile_mass"]))
+        with pytest.raises(ConfigError, match=r"size pair \(2, 0\): sizes must be >= 1"):
+            run_verify(SweepConfig(q_list=[3], s_list=[2], size_pairs=[(2, 0)],
+                                   trials=1, seed=0, checkers=["profile_mass"]))
         with pytest.raises(ConfigError, match="exceeds q"):
             run_verify(SweepConfig(q_list=[3], s_list=[2], size_pairs=[(2, 30)],
                                    trials=1, seed=0, checkers=["profile_mass"]))
@@ -248,6 +264,10 @@ class TestSweep:
         assert parse_checkers(["nu_zero,dyadic"]) == ["nu_zero", "dyadic"]
         with pytest.raises(ConfigError):
             parse_sizes("40:40")
+        with pytest.raises(ConfigError, match="size pair '40xa': not integers"):
+            parse_sizes("40xa")
+        with pytest.raises(ConfigError, match="--q must be a comma list of integers, got '3,x'"):
+            parse_int_list("3,x", "--q")
 
     def test_failing_check_reported(self, monkeypatch):
         from ffdist import checks
