@@ -13,7 +13,12 @@ odd: no Nyquist plane), and by_norm buckets by |m|^2 from that half.  The
 inverse is pocketfft's irfftn; the forward backend is chosen from q alone:
 
   * q <= DENSE_MAX_Q = 151: s dense length-q passes against the cached
-    q x q table, the last axis first onto its half.  Theta(s q^(s+1) / 2).
+    q x q table, the last axis first onto its half, over the occupied lines
+    only.  Pass 1 costs q (q+1)/2 per nonzero last-axis line; a later pass
+    costs q k per output column of each group of occupied prefixes, k the
+    largest group, padded to q past PAD_MAX = 128.  A grid with every line
+    occupied costs Theta(s q^(s+1) / 2); 5000 points in 151^3 fill about 4500
+    of its 22801 lines and cost about half that.
   * q > 151: pocketfft's rfftn (Bluestein for prime lengths), O(q^s log q).
     It uses no BLAS, so its bytes do not depend on the BLAS thread count.
 
@@ -35,14 +40,25 @@ from .field import FieldContext, check_field, check_grid_cap
 # too) first checks ctx.grid_cap (field.check_grid_cap); the cached tables stay uncapped.
 
 # Largest q transformed forward by the dense passes; above it pocketfft runs.
-# rfftn/dense time of a real 0/1 grid's forward transform (1 BLAS thread,
-# 2-core host, OpenBLAS 0.3.31, median of 5-7 interleaved calls):
+# rfftn/dense time of a real 0/1 grid's forward transform, measured when the
+# dense passes ran over the whole grid (1 BLAS thread, 2-core host, OpenBLAS
+# 0.3.31, median of 5-7 interleaved calls):
 #   s = 2: 2.21 at q = 101, 2.27 at 151, 1.14 at 199, 0.55 at 509, 0.32 at 1021
 #   s >= 3: 2.31 at 101^3, 1.79 at 151^3, 1.74 at 157^3, 2.02 at 43^4, 1.34 at 13^5
-# Dense stays faster to about q = 200; 151 is kept for thread stability: dense
-# bytes were equal at 1 and 2 BLAS threads for every q <= 151 tried (31^3, 13^5,
-# 43^4, 101^2, 101^3, 151^2, 151^3) and differed at 157^2, 257^2 and 157^3.
+# Over the occupied lines only, sparse grids favour the dense passes further.
+# Dense stayed faster to about q = 200; 151 is kept for thread stability: dense
+# bytes were equal at 1 and 2 BLAS threads at 31^3, 13^5, 43^4, 101^2, 101^3,
+# 151^2 and 151^3 and differed at 157^2, 257^2 and 157^3 (and at 131^2, 137^2,
+# 149^2 and 149^3: see PAD_MAX).
 DENSE_MAX_Q = 151
+
+# Longest contraction the dense passes pad a group of occupied lines to; a longer
+# group is padded to q, the length of the plain passes.  OpenBLAS 0.3.31 zgemm
+# (2-core Haswell host) gave equal bytes at 1 and 2 threads for a (151 x k) by
+# (k x n) product at every k <= 128 and at k = 135, 136, 143, 144 and 151, and
+# other bytes at k = 129-134, 137-142 and 145-150 (n = 76 batched 151 times, 2000
+# and 11476).  So no padded contraction is less stable than the plain pass at q.
+PAD_MAX = 128
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,6 +124,65 @@ def by_norm(ctx: FieldContext, values: np.ndarray) -> np.ndarray:
     return np.bincount(ng.ravel(), weights=weights.ravel(), minlength=ctx.q)
 
 
+def _spread(rows: np.ndarray, slot: np.ndarray, n: int) -> np.ndarray:
+    """An n-row array of zeros holding rows at the indices slot."""
+    out = np.zeros((n,) + rows.shape[1:], dtype=rows.dtype)
+    out[slot] = rows
+    return out
+
+
+def _dense_passes(W: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Unscaled stored half of values' transform: s passes against W over occupied lines only.
+
+    Pass 1 takes the nonzero last-axis lines onto their half.  Every later pass
+    contracts the last coordinate of the occupied prefixes: the prefixes that agree
+    on all other coordinates form a group, padded with zero rows to the largest
+    group's size k (to q once k passes PAD_MAX), and one batched matmul gives each
+    group its q outputs.  At k == q the pass runs against W itself, with no gathered
+    copy of W.  When pass 2 pads to q, pass 1 runs on every line of the occupied
+    groups instead, so pass 2 needs no padding; when every group is occupied, pass 1
+    reads the grid itself, and the passes are the plain dense passes.
+    """
+    q = W.shape[0]
+    shape = values.shape[:-1] + ((q + 1) // 2,)
+    flat = values.reshape(-1, q)
+    keys = np.flatnonzero((flat != 0).any(axis=1))  # radix indices of the occupied lines
+    if keys.size == 0:
+        return np.zeros(shape, dtype=np.complex128)
+    counts = np.bincount(keys // q)
+    if counts.max() > PAD_MAX:
+        # Gathering the occupied lines and spreading pass 1's rows into zero rows cost
+        # more than pass 1 over the empty lines: at 151^3 with 4 of 22801 lines empty
+        # the transform took 0.19-0.22 s that way and 0.18 s over every line (1 BLAS
+        # thread, 2-core host).
+        keys = (np.flatnonzero(counts)[:, None] * q + np.arange(q)).ravel()
+    # W is symmetric: its columns are its rows.
+    vals = (flat if keys.size == flat.shape[0] else flat[keys]) @ W[:, :shape[-1]]
+    for _ in range(values.ndim - 1):
+        prefix, x = np.divmod(keys, q)
+        counts = np.bincount(prefix)
+        keys = np.flatnonzero(counts)  # the occupied prefixes, one coordinate shorter
+        sizes = counts[keys]
+        k = int(sizes.max())
+        if k > PAD_MAX:
+            k = q
+        # The output is allocated before the pass's scratch (padding, gathered W), and
+        # the scratch is freed within its pass, which keeps the heap from fragmenting:
+        # peak RSS over repeated nu_spectral calls on 5000-point sets in 151^3 was
+        # 191 MB this way and 224 MB with the output allocated last.
+        out = np.empty((keys.size, q, vals.shape[1]), dtype=np.complex128)
+        if x.size < keys.size * k:  # groups short of k: pad each with zero rows
+            slot = (np.repeat(np.arange(0, keys.size * q, q), sizes) + x if k == q
+                    else np.flatnonzero(np.arange(k) < sizes[:, None]))
+            vals = _spread(vals, slot, keys.size * k)
+            if k < q:
+                x = _spread(x, slot, keys.size * k)  # a pad reads row 0 of W
+        np.matmul(W if k == q else W[x].reshape(-1, k, q).transpose(0, 2, 1),
+                  vals.reshape(keys.size, k, -1), out=out)
+        vals = out.reshape(keys.size, -1)
+    return vals.reshape(shape)
+
+
 def forward_transform(ctx: FieldContext, f: GridFunction) -> Spectrum:
     """fhat(x) = q^(-s) sum_m e(-m.x/q) f(m) on the stored half, axis-factored."""
     if isinstance(f, Spectrum):
@@ -117,10 +192,7 @@ def forward_transform(ctx: FieldContext, f: GridFunction) -> Spectrum:
     check_field(ctx, "grid", f.q)
     check_grid_cap(ctx, f.s)
     if ctx.q <= DENSE_MAX_Q:
-        W = _dft_matrices(ctx)
-        vals = f.values @ W[:, :(ctx.q + 1) // 2]  # W is symmetric: columns = rows
-        for axis in range(f.s - 1):
-            vals = np.moveaxis(np.tensordot(W, np.moveaxis(vals, axis, 0), axes=(1, 0)), 0, axis)
+        vals = _dense_passes(_dft_matrices(ctx), f.values)
     else:
         vals = np.fft.rfftn(f.values)
     vals *= 1.0 / ctx.q ** f.s

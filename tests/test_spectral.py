@@ -1,5 +1,6 @@
 import cmath
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +19,10 @@ from ffdist import (
 )
 from ffdist.errors import CapExceeded, FieldMismatch
 from ffdist.charsums import sphere_class_values
-from ffdist.spectral import by_norm, half_norm_grid, norm_grid
+from ffdist.distance import indicator_grid
+from ffdist.spectral import by_norm, half_norm_grid, norm_grid, sphere_indicator
+
+from conftest import random_set, run_python
 
 
 def brute_forward(ctx, values):
@@ -139,6 +143,108 @@ class TestForwardTransform:
         f = GridFunction(q=163, s=2, values=np.ones((163, 163)))
         with pytest.raises(FieldMismatch, match=f"grid lives over q=163, field context has q={q}"):
             forward_transform(make_field(q), f)
+
+
+def support_sum(values, ms):
+    """q^(-s) sum_x f(x) e(-m.x/q) at each frequency row of ms, in long double, off BLAS.
+
+    The kernel e(-t/q) is built from 2 pi t / q in long double, as in the inverse's
+    reference below, and the sum runs over the support of f alone, so a sparse
+    151^3 grid is cheap; the phases m.x mod q are integer products.
+    """
+    q, s = values.shape[0], values.ndim
+    support = np.argwhere(values)
+    weights = values[tuple(support.T)].astype(np.longdouble)
+    kernel = np.exp(-1j * (np.arange(q) * (2 * np.pi / np.longdouble(q))))
+    out = np.zeros(len(ms), dtype=np.clongdouble)
+    for lo in range(0, len(ms), 256):
+        out[lo:lo + 256] = (kernel[ms[lo:lo + 256] @ support.T % q] * weights).sum(axis=1)
+    return out / np.longdouble(q) ** s
+
+
+def sparse_grid(q, s, density, seed):
+    """A real grid, nonzero on about a `density` share of its points, so groups differ in size."""
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((q,) * s) * (rng.random((q,) * s) < density)
+
+
+def grouped_lines(group, size, seed):
+    """A 151^3 grid with one random point on each of `size` last-axis lines.
+
+    group 1: the lines share their first coordinate, so pass 2 meets one group of
+    `size` lines.  group 2: their first coordinates differ, so pass 3 meets one
+    group of `size` prefixes.
+    """
+    q = 151
+    rng = np.random.default_rng(seed)
+    pts = rng.integers(0, q, (size, 3))
+    pts[:, 2 - group] = rng.choice(q, size, replace=False)
+    if group == 1:
+        pts[:, 0] = 0
+    values = np.zeros((q,) * 3)
+    values[tuple(pts.T)] = rng.standard_normal(size)
+    return values
+
+
+OCCUPANCY_CASES = [  # (id, q, grid builder given the field)
+    ("zero", 7, lambda ctx: np.zeros((7, 7, 7))),
+    ("one_point", 7, lambda ctx: np.eye(1, 7 ** 3, 200).reshape(7, 7, 7)),
+    ("every_line", 13, lambda ctx: random_grid(13, 3, seed=1).values),
+    ("uniform_set", 31, lambda ctx: indicator_grid(random_set(31, 3, 2000, seed=2)).values),
+    ("sphere", 13, lambda ctx: sphere_indicator(ctx, 3, 5).values),
+    ("set_151_cube", 151, lambda ctx: indicator_grid(random_set(151, 3, 5000, seed=3)).values),
+] + [(f"sparse_q{q}_s{s}", q, lambda ctx, s=s: sparse_grid(ctx.q, s, 0.2, seed=10 * ctx.q + s))
+     for q in (3, 5) for s in range(1, 6)] + [
+    (f"pass{group + 1}_group_{size}", 151, lambda ctx, group=group, size=size: grouped_lines(group, size, seed=size))
+    for group in (1, 2) for size in (spectral.PAD_MAX, spectral.PAD_MAX + 1)]
+
+
+# Prints a hash of the transform's bytes for each grid of a group of PAD_MAX and of
+# PAD_MAX + 1 lines at pass 2 and at pass 3.
+THREAD_SCRIPT = """
+import hashlib, sys
+sys.path[:0] = sys.argv[1:]
+from test_spectral import grouped_lines
+from ffdist import GridFunction, forward_transform, make_field, spectral
+ctx = make_field(151)
+for group in (1, 2):
+    for size in (spectral.PAD_MAX, spectral.PAD_MAX + 1):
+        out = forward_transform(ctx, GridFunction(q=151, s=3, values=grouped_lines(group, size, seed=size)))
+        print(group, size, hashlib.sha256(out.values.tobytes()).hexdigest())
+"""
+
+
+class TestOccupiedLines:
+    """The dense passes run over the occupied lines only; every shape of occupancy
+    is held to the literal sum over the grid's support, in long double."""
+
+    @pytest.mark.parametrize("q,build", [pytest.param(q, build, id=name)
+                                         for name, q, build in OCCUPANCY_CASES])
+    def test_matches_long_double_support_sum(self, q, build):
+        ctx = make_field(q)
+        values = build(ctx)
+        got = forward_transform(ctx, GridFunction(q=q, s=values.ndim, values=values)).values
+        ms = np.argwhere(np.ones(got.shape, dtype=bool))
+        if len(ms) > 4096:  # a large grid: 2000 of its frequencies, the origin among them
+            ms = ms[np.random.default_rng(0).choice(len(ms), 2000, replace=False)]
+            ms[0] = 0
+        assert np.max(np.abs(got[tuple(ms.T)] - support_sum(values, ms)), initial=0) <= 1e-10
+        if not values.any():
+            assert not got.any()
+
+    def test_bytes_at_the_padding_limit_do_not_depend_on_blas_threads(self):
+        # A group of PAD_MAX lines is one padded contraction of that length; a group
+        # one longer is padded to q (at pass 3) or makes pass 1 run over the whole
+        # group (at pass 2).  OpenBLAS gave other bytes at 1 and 2 threads for
+        # contractions of 129-150 rows.
+        here = str(Path(__file__).resolve().parent)
+        outputs = []
+        for threads in ("1", "2"):
+            proc = run_python("-c", THREAD_SCRIPT, here, OPENBLAS_NUM_THREADS=threads)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert len(outputs[0].splitlines()) == 4
+        assert outputs[0] == outputs[1]
 
 
 class TestInverseTransform:
