@@ -8,16 +8,8 @@ verify the exact identities and explicit-constant inequalities tying
 them together.
 """
 
-from .field import (
-    FieldContext,
-    make_field,
-    inverse,
-    norm_squared,
-    quadratic_character,
-    sqrt_mod,
-    additive_character,
-)
-from .charsums import GaussData, gauss_data, kloosterman, salie
+from .field import FieldContext, make_field, sqrt_mod
+from .charsums import gauss_data
 from .spectral import (
     GridFunction,
     Spectrum,
@@ -38,7 +30,6 @@ from .distance import (
     spherical_profile,
     cross_profile,
     intersection_count,
-    support_lower_bound,
 )
 
 __version__ = "0.1.0"

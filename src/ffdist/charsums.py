@@ -2,12 +2,12 @@
 
 This module is the trusted oracle for everything spectral: every sum is
 an explicit O(q) loop over the character table, all through the one
-evaluator twisted_sums, with no closed-form shortcuts.  It provides
+evaluator twisted_sums, with no closed-form shortcuts.  twisted_sums
+evaluates Kloosterman sums K(a, b) = sum_{t != 0} e((a t + b t^-1)/q) and
+their eta-twisted Salie variant, for many b at once.  From it come
 
-  * the Gauss sum g = sum_{t != 0} eta(t) e(t/q) and its unit
-    normalization c_q = g / sqrt(q),
-  * Kloosterman sums K(a, b) = sum_{t != 0} e((a t + b t^-1)/q),
-  * Salie sums, the eta-twisted variant, and
+  * the unit normalization c_q = g / sqrt(q) of the Gauss sum
+    g = sum_{t != 0} eta(t) e(t/q), and
   * the closed form for the Fourier transform of the sphere
     {x : |x|^2 = r} in F_q^s, evaluated once per norm class |m|^2 by
     sphere_class_values:
@@ -23,19 +23,12 @@ evaluator twisted_sums, with no closed-form shortcuts.  It provides
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import CapExceeded
 from .field import FieldContext
-
-
-@dataclass(frozen=True)
-class GaussData:
-    g: complex            # sum_{t != 0} eta(t) e(t/q)
-    c_q: complex          # g / sqrt(q); unit modulus
 
 
 def inverse_multiples(ctx: FieldContext, b: Sequence[int] | np.ndarray) -> np.ndarray:
@@ -60,24 +53,13 @@ def twisted_sums(ctx: FieldContext, a: int, b: Sequence[int] | np.ndarray,
     return terms.sum(axis=1)
 
 
-def gauss_data(ctx: FieldContext) -> GaussData:
-    """Compute the Gauss sum by direct summation and normalize it.
+def gauss_data(ctx: FieldContext) -> complex:
+    """c_q = g / sqrt(q) of the Gauss sum g = sum_{t != 0} eta(t) e(t/q), summed directly.
 
     The classical sign (c_q = 1 for q = 1 mod 4, c_q = i for q = 3 mod 4)
     is never assumed here; tests verify it against these computed values.
     """
-    g = salie(ctx, 1, 0)
-    return GaussData(g=g, c_q=g / math.sqrt(ctx.q))
-
-
-def kloosterman(ctx: FieldContext, a: int, b: int) -> complex:
-    """K(a, b) = sum over t in F_q^* of e((a t + b t^-1)/q)."""
-    return complex(twisted_sums(ctx, a, [b], twisted=False)[0])
-
-
-def salie(ctx: FieldContext, a: int, b: int) -> complex:
-    """The eta-twisted Kloosterman sum sum_t eta(t) e((a t + b t^-1)/q)."""
-    return complex(twisted_sums(ctx, a, [b], twisted=True)[0])
+    return complex(twisted_sums(ctx, 1, [0], twisted=True)[0]) / math.sqrt(ctx.q)
 
 
 def sphere_unit(ctx: FieldContext, s: int) -> complex:
@@ -87,7 +69,7 @@ def sphere_unit(ctx: FieldContext, s: int) -> complex:
     (eta(-1) g / sqrt(q))^s, because conj(g) = eta(-1) g.  The eta(-1)
     factor only matters for odd s; for even s this is just c_q^s.
     """
-    u = gauss_data(ctx).c_q ** s
+    u = gauss_data(ctx) ** s
     if s % 2 == 1:
         u *= int(ctx.eta_table[ctx.q - 1])
     return u

@@ -28,7 +28,6 @@ share a norm class); each is one spectral.by_norm pass over the spectra it is gi
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -36,7 +35,6 @@ import numpy as np
 from . import charsums
 from .errors import (
     DuplicatePoint,
-    EmptyOffzeroSupport,
     FieldMismatch,
     PairCapExceeded,
     RoundingDrift,
@@ -236,18 +234,3 @@ def intersection_count(E: PointSet, F: PointSet) -> int:
     _require_same_field(E, F)
     return int(np.intersect1d(E.radix_indices(), F.radix_indices(),
                               assume_unique=True).size)
-
-
-def support_lower_bound(dist: DistanceDistribution) -> Fraction:
-    """Cauchy-Schwarz floor for the off-zero support of nu.
-
-    Returns (sum_{j != 0} nu(j))^2 / (sum_{j != 0} nu(j)^2) as an exact
-    rational; the number of distinct nonzero attained distances is always
-    >= this value.
-    """
-    off = dist.nu[1:]
-    total = int(off.sum())
-    if total == 0:
-        raise EmptyOffzeroSupport("all off-zero counts vanish")
-    square_sum = int((off.astype(object) ** 2).sum())
-    return Fraction(total * total, square_sum)

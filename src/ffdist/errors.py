@@ -16,12 +16,6 @@ class BadModulus(FFDistError):
     """q is not an odd prime in [3, 2**20]; the message says which test failed."""
 
 
-# --- arithmetic -------------------------------------------------------------
-
-class ZeroInverse(FFDistError):
-    """Multiplicative inverse of 0 requested."""
-
-
 # --- resource caps ----------------------------------------------------------
 
 class CapError(FFDistError):
@@ -50,10 +44,6 @@ class FieldMismatch(FFDistError):
 
 class RoundingDrift(FFDistError):
     """Spectral counts too far from integers; precision lost."""
-
-
-class EmptyOffzeroSupport(FFDistError):
-    """All off-zero counts vanish; support bound undefined."""
 
 
 # --- generators and file I/O ------------------------------------------------

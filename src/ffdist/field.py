@@ -13,11 +13,11 @@ yields bit-identical complex values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .errors import BadModulus, CapExceeded, ConfigError, FieldMismatch, ZeroInverse
+from .errors import BadModulus, CapExceeded, ConfigError, FieldMismatch
 
 # Table memory cap: q complex values per context.
 DEFAULT_MODULUS_CAP = 2 ** 20
@@ -117,19 +117,6 @@ def check_field(ctx: FieldContext, what: str, q: int) -> None:
         raise FieldMismatch(f"{what} lives over q={q}, field context has q={ctx.q}")
 
 
-def inverse(ctx: FieldContext, a: int) -> int:
-    """Multiplicative inverse of a mod q; raises ZeroInverse for a = 0."""
-    a = a % ctx.q
-    if a == 0:
-        raise ZeroInverse("0 has no multiplicative inverse")
-    return int(ctx.inv_table[a])
-
-
-def quadratic_character(ctx: FieldContext, a: int) -> int:
-    """eta(a): +1 for nonzero squares, -1 for nonsquares, 0 for a = 0."""
-    return int(ctx.eta_table[a % ctx.q])
-
-
 def sqrt_mod(ctx: FieldContext, a: int) -> Optional[int]:
     """Canonical square root of a mod q, or None when a is a nonsquare.
 
@@ -141,13 +128,3 @@ def sqrt_mod(ctx: FieldContext, a: int) -> Optional[int]:
         return None
     x = np.arange(ctx.q, dtype=np.int64)
     return int(np.argmax(x * x % ctx.q == a))
-
-
-def norm_squared(ctx: FieldContext, x: Sequence[int]) -> int:
-    """|x|^2 = sum of squared coordinates, reduced mod q."""
-    return int(sum(int(c) * int(c) for c in x) % ctx.q)
-
-
-def additive_character(ctx: FieldContext, j: int) -> complex:
-    """e(j/q) = exp(2*pi*i*j/q), read from the precomputed table."""
-    return complex(ctx.char_table[j % ctx.q])

@@ -12,15 +12,16 @@ conj(fhat(m)), a Spectrum stores only last-axis indices 0 .. (q-1)/2 (q is
 odd: no Nyquist plane), and by_norm buckets by |m|^2 from that half.  The
 inverse is pocketfft's irfftn; the forward backend is chosen from q alone:
 
-  * q <= DENSE_MAX_Q = 151: s dense length-q passes against the cached
-    q x q table, the last axis first onto its half, over the occupied lines
-    only.  Pass 1 costs q (q+1)/2 per nonzero last-axis line; a later pass
-    costs q k per output column of each group of occupied prefixes, k the
-    largest group, padded to q past PAD_MAX = 128.  A grid with every line
-    occupied costs Theta(s q^(s+1) / 2); 5000 points in 151^3 fill about 4500
-    of its 22801 lines and cost about half that.
-  * q > 151: pocketfft's rfftn (Bluestein for prime lengths), O(q^s log q).
-    It uses no BLAS, so its bytes do not depend on the BLAS thread count.
+  * q <= PAD_MAX = 128 and q = DENSE_MAX_Q = 151: s dense length-q passes
+    against the cached q x q table, the last axis first onto its half, over
+    the occupied lines only.  Pass 1 costs q (q+1)/2 per nonzero last-axis
+    line; a later pass costs q k per output column of each group of occupied
+    prefixes, k the largest group, padded to q past PAD_MAX.  A grid with
+    every line occupied costs Theta(s q^(s+1) / 2); 5000 points in 151^3 fill
+    about 4500 of its 22801 lines and cost about half that.
+  * every other q, 131 to 149 included: pocketfft's rfftn (Bluestein for
+    prime lengths), O(q^s log q).  It uses no BLAS, so its bytes do not
+    depend on the BLAS thread count.
 
 sphere_spectrum is the direct transform of a sphere's 0/1 grid; the
 character-sum closed form of the same values is charsums'
@@ -39,7 +40,8 @@ from .field import FieldContext, check_field, check_grid_cap
 # Every function here that builds or reads a q**s grid (half_norm_grid, so by_norm
 # too) first checks ctx.grid_cap (field.check_grid_cap); the cached tables stay uncapped.
 
-# Largest q transformed forward by the dense passes; above it pocketfft runs.
+# Largest q transformed forward by the dense passes; above it pocketfft runs, and
+# so it does at PAD_MAX < q < DENSE_MAX_Q.
 # rfftn/dense time of a real 0/1 grid's forward transform, measured when the
 # dense passes ran over the whole grid (1 BLAS thread, 2-core host, OpenBLAS
 # 0.3.31, median of 5-7 interleaved calls):
@@ -48,8 +50,8 @@ from .field import FieldContext, check_field, check_grid_cap
 # Over the occupied lines only, sparse grids favour the dense passes further.
 # Dense stayed faster to about q = 200; 151 is kept for thread stability: dense
 # bytes were equal at 1 and 2 BLAS threads at 31^3, 13^5, 43^4, 101^2, 101^3,
-# 151^2 and 151^3 and differed at 157^2, 257^2 and 157^3 (and at 131^2, 137^2,
-# 149^2 and 149^3: see PAD_MAX).
+# 151^2 and 151^3 and differed at 157^2, 257^2 and 157^3, and at 131^2, 131^3,
+# 137^2, 149^2 and 149^3, whose length q BLAS blocks by thread count (see PAD_MAX).
 DENSE_MAX_Q = 151
 
 # Longest contraction the dense passes pad a group of occupied lines to; a longer
@@ -191,7 +193,7 @@ def forward_transform(ctx: FieldContext, f: GridFunction) -> Spectrum:
         raise TypeError("input grid is complex; a Spectrum stores half of a real grid's transform")
     check_field(ctx, "grid", f.q)
     check_grid_cap(ctx, f.s)
-    if ctx.q <= DENSE_MAX_Q:
+    if ctx.q <= PAD_MAX or ctx.q == DENSE_MAX_Q:
         vals = _dense_passes(_dft_matrices(ctx), f.values)
     else:
         vals = np.fft.rfftn(f.values)

@@ -31,10 +31,12 @@ def run_python(*args, cwd=None, text=True, **env_vars):
 
     The package's own directory goes first on PYTHONPATH, so the child
     finds it from an uninstalled checkout and from any cwd; env_vars are
-    added to the child's environment.
+    added to the child's environment.  PYTHONWARNINGS=error holds the child
+    to the warning policy of pyproject.toml: every warning fails it.
     """
     path = [str(Path(ffdist.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, **env_vars, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    env = dict(os.environ, PYTHONWARNINGS="error", **env_vars,
+               PYTHONPATH=os.pathsep.join(filter(None, path)))
     return subprocess.run([sys.executable, *args], capture_output=True, text=text,
                           cwd=cwd, env=env)
 

@@ -48,12 +48,13 @@ def test_output_matches_golden_bytes(name, tmp_path):
     assert output(name, tmp_path) == (GOLDEN / name).read_bytes()
 
 
-@pytest.mark.parametrize("q,s", (pytest.param(151, 2, id="151"), pytest.param(257, 2, id="257"),
-                                 pytest.param(151, 3, id="151-s3")))
+@pytest.mark.parametrize("q,s", (pytest.param(131, 2, id="131"), pytest.param(151, 2, id="151"),
+                                 pytest.param(257, 2, id="257"), pytest.param(151, 3, id="151-s3")))
 def test_sweep_bytes_do_not_depend_on_blas_threads(tmp_path, q, s):
     # q = 151 is the largest q on the dense BLAS passes (spectral.DENSE_MAX_Q)
-    # and q = 257 transforms on pocketfft; dense passes at q = 257 gave
-    # different cross_zero and sigma_bound bytes at one and two threads.  At
+    # and q = 131 and 257 transform on pocketfft; at one and two threads dense
+    # passes gave different sigma_bound bytes at q = 131, and different
+    # cross_zero and sigma_bound bytes at q = 257.  At
     # 151^3 these sets leave most last-axis lines empty, so the later passes
     # run as batched matmuls over padded groups of occupied lines; one of
     # them groups 132 lines, a contraction length that BLAS blocks by thread

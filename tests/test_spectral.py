@@ -1,5 +1,4 @@
 import cmath
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +11,6 @@ from ffdist import (
     forward_transform,
     inverse_transform,
     make_field,
-    norm_squared,
     spectral,
     sphere_counts,
     sphere_spectrum,
@@ -75,17 +73,9 @@ def random_grid(q, s, seed):
 
 class TestNormSquared:
     def test_examples(self, contexts):
-        assert norm_squared(contexts[5], (1, 2)) == 0
-        assert norm_squared(contexts[3], (0, 0)) == 0
-        assert norm_squared(contexts[7], (2, 3, 1)) == 0
-
-    def test_one_function_for_every_module(self):
-        import ffdist
-        from ffdist import field
-        holders = [m for n, m in sys.modules.items()
-                   if n.startswith("ffdist.") and hasattr(m, "norm_squared")]
-        assert field in holders
-        assert all(m.norm_squared is field.norm_squared for m in holders + [ffdist])
+        assert norm_grid(contexts[5], 2)[1, 2] == 0
+        assert norm_grid(contexts[3], 2)[0, 0] == 0
+        assert norm_grid(contexts[7], 3)[2, 3, 1] == 0
 
 
 class TestForwardTransform:
@@ -336,7 +326,7 @@ class TestSpheres:
             assert sph.shape == (sphere_counts(ctx, s)[r % q], s)
             assert np.all(np.diff(np.ravel_multi_index(sph.T, (q,) * s)) > 0)
             for p in sph:
-                assert norm_squared(ctx, p) == r % q
+                assert int((p * p).sum()) % q == r % q
 
 
 class TestSphereSpectrum:
