@@ -17,7 +17,7 @@ import argparse
 import sys
 
 from .checks import CHECKERS
-from .errors import CapError, FFDistError
+from .errors import CapExceeded, FFDistError
 from .field import DEFAULT_GRID_CAP, DEFAULT_PAIR_CAP, make_field
 from .generators import KINDS, GeneratorSpec, generate
 from .setio import write_pointset
@@ -198,7 +198,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except CapError as exc:
+    except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
     except (FFDistError, OSError) as exc:

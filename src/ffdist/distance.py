@@ -34,9 +34,9 @@ import numpy as np
 
 from . import charsums
 from .errors import (
+    CapExceeded,
     DuplicatePoint,
     FieldMismatch,
-    PairCapExceeded,
     RoundingDrift,
     UnindexableSpace,
 )
@@ -48,11 +48,11 @@ DEFAULT_RESIDUAL_TOL = 1e-6
 
 @dataclass(frozen=True, eq=False)
 class PointSet:
-    """A duplicate-free set of points in F_q^s, radix-sorted."""
+    """A duplicate-free set of points in F_q^s, radix-sorted; s is read off points."""
 
     q: int
-    s: int
     points: np.ndarray  # int64, shape (size, s), coordinates in [0, q)
+    s = property(lambda self: self.points.shape[1])
 
     @property
     def size(self) -> int:
@@ -85,19 +85,24 @@ def make_point_set(q: int, s: int, points: Iterable[Sequence[int]]) -> PointSet:
         raise ValueError(f"points must be {s}-tuples")
     if pts.dtype.kind not in "iu":
         raise ValueError(f"coordinates must be int64-range integers, not {pts.dtype}")
-    return sorted_point_set(q, s, pts.astype(np.int64) % q)
+    return sorted_point_set(q, pts.astype(np.int64) % q)
 
 
-def sorted_point_set(q: int, s: int, pts: np.ndarray) -> PointSet:
-    """Radix-sort rows with coordinates in [0, q) into a PointSet; repeats raise DuplicatePoint."""
-    idx = np.ravel_multi_index(pts.T, (q,) * s)
-    order = np.argsort(idx, kind="stable")
-    repeats = np.flatnonzero(np.diff(idx[order]) == 0)
-    if repeats.size:
-        row = int(order[repeats[0] + 1])
+def sorted_point_set(q: int, pts: np.ndarray) -> PointSet:
+    """Radix-sort rows with coordinates in [0, q) into a PointSet; repeats raise DuplicatePoint.
+
+    The radix indices are sorted and unravelled into rows once; only a repeat takes the
+    stable argsort, which names the repeat's second input row.
+    """
+    shape = (q,) * pts.shape[1]
+    idx = np.ravel_multi_index(pts.T, shape)
+    keys = np.sort(idx)
+    if np.any(keys[1:] == keys[:-1]):
+        order = np.argsort(idx, kind="stable")
+        row = int(order[np.flatnonzero(np.diff(idx[order]) == 0)[0] + 1])
         raise DuplicatePoint(
             f"point {tuple(int(c) for c in pts[row])} appears twice", row=row)
-    return PointSet(q=q, s=s, points=pts[order])
+    return PointSet(q=q, points=np.stack(np.unravel_index(keys, shape), axis=1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,7 +125,7 @@ def indicator_grid(E: PointSet) -> GridFunction:
     """The 0/1 characteristic function of E as a dense real grid."""
     vals = np.zeros((E.q,) * E.s, dtype=np.float64)
     vals.flat[E.radix_indices()] = 1.0
-    return GridFunction(q=E.q, s=E.s, values=vals)
+    return GridFunction(vals)
 
 
 def set_spectrum(ctx: FieldContext, E: PointSet) -> Spectrum:
@@ -143,7 +148,7 @@ def nu_brute(E: PointSet, F: PointSet,
     """
     _require_same_field(E, F)
     if E.size * F.size > pair_cap:
-        raise PairCapExceeded(
+        raise CapExceeded(
             f"#E * #F = {E.size * F.size} exceeds pair cap {pair_cap}"
         )
     q, s = E.q, E.s

@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
 Every error raised by ffdist derives from FFDistError, so callers can
-catch the whole family at once.  Cap violations get their own branch
-because the CLI maps them to a dedicated exit code.
+catch the whole family at once.  Every cap violation is one CapExceeded,
+which the CLI maps to its own exit code.
 """
 
 
@@ -18,16 +18,8 @@ class BadModulus(FFDistError):
 
 # --- resource caps ----------------------------------------------------------
 
-class CapError(FFDistError):
-    """Common parent of the two cap violations (CLI exit code 3)."""
-
-
-class CapExceeded(CapError):
-    """Grid size q**s over the configured cap."""
-
-
-class PairCapExceeded(CapError):
-    """#E * #F over the configured pair cap."""
+class CapExceeded(FFDistError):
+    """A grid, table or set over the grid cap, or #E * #F over the pair cap (CLI exit 3)."""
 
 
 # --- configuration ----------------------------------------------------------
@@ -39,7 +31,7 @@ class ConfigError(FFDistError):
 # --- set / distribution contracts -------------------------------------------
 
 class FieldMismatch(FFDistError):
-    """Two point sets built over different (q, s)."""
+    """Data over one (q, s) meets a field or data over another, or an array of the wrong shape."""
 
 
 class RoundingDrift(FFDistError):

@@ -69,7 +69,7 @@ def generate(ctx: FieldContext, s: int, spec: GeneratorSpec) -> PointSet:
     if spec.kind == "uniform_random":
         flat = _choose(spec, q ** s, f"q**s = {q ** s}")
         pts = np.stack(np.unravel_index(flat, (q,) * s), axis=1).astype(np.int64)
-        return sorted_point_set(q, s, pts)
+        return sorted_point_set(q, pts)
 
     if spec.kind == "isotropic_line":
         if s != 2:
@@ -79,7 +79,7 @@ def generate(ctx: FieldContext, s: int, spec: GeneratorSpec) -> PointSet:
         i = sqrt_mod(ctx, q - 1)
         assert i is not None
         x = np.arange(q, dtype=np.int64)
-        return sorted_point_set(q, s, np.stack([x, (i * x) % q], axis=1))
+        return sorted_point_set(q, np.stack([x, (i * x) % q], axis=1))
 
     if spec.kind == "sphere_set":
         r = int(spec.params.get("radius", 1))
@@ -88,7 +88,7 @@ def generate(ctx: FieldContext, s: int, spec: GeneratorSpec) -> PointSet:
             raise BadGenerator(f"sphere r = {r} is empty at q = {q}, s = {s}")
         if spec.size is not None:
             pts = pts[np.sort(_choose(spec, len(pts), f"|S_{r}| = {len(pts)}"))]
-        return sorted_point_set(q, s, pts)
+        return sorted_point_set(q, pts)
 
     if spec.kind == "product_interval":
         lengths = [int(v) for v in spec.params.get("lengths", [])]
@@ -98,7 +98,7 @@ def generate(ctx: FieldContext, s: int, spec: GeneratorSpec) -> PointSet:
         if count > ctx.grid_cap:
             raise CapExceeded(f"product set of {count} points exceeds grid cap {ctx.grid_cap}")
         grids = np.meshgrid(*[np.arange(v, dtype=np.int64) for v in lengths], indexing="ij")
-        return sorted_point_set(q, s, np.stack([g.ravel() for g in grids], axis=1))
+        return sorted_point_set(q, np.stack([g.ravel() for g in grids], axis=1))
 
     path = spec.params.get("path")  # from_file
     if not path:

@@ -7,7 +7,8 @@ Conventions (pinned so every power of q downstream is literal):
     Plancherel:  sum_m |fhat(m)|^2 = q^(-s) * sum_x |f(x)|^2
 
 Grids are real numpy arrays of shape (q,)*s in C order, which is exactly
-the radix-q row-major encoding of (x_1, ..., x_s).  As fhat(-m) =
+the radix-q row-major encoding of (x_1, ..., x_s); the transforms refuse
+any other shape.  As fhat(-m) =
 conj(fhat(m)), a Spectrum stores only last-axis indices 0 .. (q-1)/2 (q is
 odd: no Nyquist plane), and by_norm buckets by |m|^2 from that half.  The
 inverse is pocketfft's irfftn; the forward backend is chosen from q alone:
@@ -35,6 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import FieldMismatch
 from .field import FieldContext, check_field, check_grid_cap
 
 # Every function here that builds or reads a q**s grid (half_norm_grid, so by_norm
@@ -65,11 +67,11 @@ PAD_MAX = 128
 
 @dataclass(frozen=True, eq=False)
 class GridFunction:
-    """A dense real function on F_q^s (space domain)."""
+    """A dense real function on F_q^s (space domain); q and s are read off values."""
 
-    q: int
-    s: int
     values: np.ndarray  # float64, shape (q,)*s
+    q = property(lambda self: self.values.shape[0])
+    s = property(lambda self: self.values.ndim)
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,13 +79,14 @@ class Spectrum:
     """The stored half of a GridFunction's transform, already scaled by q^(-s).
 
     values has shape (q,)*(s-1) + ((q+1)//2,): last-axis indices 0 .. (q-1)/2
-    of fhat; fhat(-m) = conj(fhat(m)) gives the rest.  A separate type, so a
-    spectrum cannot be fed back into forward_transform by accident.
+    of fhat; fhat(-m) = conj(fhat(m)) gives the rest, and q and s are read off
+    that shape.  A separate type, so a spectrum cannot be fed back into
+    forward_transform by accident.
     """
 
-    q: int
-    s: int
     values: np.ndarray
+    q = property(lambda self: 2 * self.values.shape[-1] - 1)
+    s = property(lambda self: self.values.ndim)
 
 
 # Both caches hold the one field (and dimension) in use: a sweep walks q in
@@ -192,13 +195,15 @@ def forward_transform(ctx: FieldContext, f: GridFunction) -> Spectrum:
     if np.iscomplexobj(f.values):
         raise TypeError("input grid is complex; a Spectrum stores half of a real grid's transform")
     check_field(ctx, "grid", f.q)
+    if f.values.shape != (ctx.q,) * f.s:
+        raise FieldMismatch(f"grid has shape {f.values.shape}, expected {(ctx.q,) * f.s}")
     check_grid_cap(ctx, f.s)
     if ctx.q <= PAD_MAX or ctx.q == DENSE_MAX_Q:
         vals = _dense_passes(_dft_matrices(ctx), f.values)
     else:
         vals = np.fft.rfftn(f.values)
     vals *= 1.0 / ctx.q ** f.s
-    return Spectrum(q=ctx.q, s=f.s, values=vals)
+    return Spectrum(vals)
 
 
 def inverse_transform(ctx: FieldContext, F: Spectrum) -> GridFunction:
@@ -206,10 +211,12 @@ def inverse_transform(ctx: FieldContext, F: Spectrum) -> GridFunction:
     if isinstance(F, GridFunction):
         raise TypeError("input is a space-domain GridFunction, not a Spectrum")
     check_field(ctx, "spectrum", F.q)
+    shape = (ctx.q,) * (F.s - 1) + ((ctx.q + 1) // 2,)
+    if F.values.shape != shape:
+        raise FieldMismatch(f"spectrum has shape {F.values.shape}, expected {shape}")
     check_grid_cap(ctx, F.s)
     # norm="forward" leaves the inverse sum unscaled.
-    vals = np.fft.irfftn(F.values, (ctx.q,) * F.s, axes=range(F.s), norm="forward")
-    return GridFunction(q=ctx.q, s=F.s, values=vals)
+    return GridFunction(np.fft.irfftn(F.values, (ctx.q,) * F.s, axes=range(F.s), norm="forward"))
 
 
 def sphere_counts(ctx: FieldContext, s: int) -> np.ndarray:
@@ -228,8 +235,7 @@ def enumerate_sphere(ctx: FieldContext, s: int, r: int) -> np.ndarray:
 def sphere_indicator(ctx: FieldContext, s: int, r: int) -> GridFunction:
     """0/1 grid of the sphere S_r."""
     check_grid_cap(ctx, s)
-    vals = (norm_grid(ctx, s) == r % ctx.q).astype(np.float64)
-    return GridFunction(q=ctx.q, s=s, values=vals)
+    return GridFunction((norm_grid(ctx, s) == r % ctx.q).astype(np.float64))
 
 
 def sphere_spectrum(ctx: FieldContext, s: int, r: int) -> Spectrum:

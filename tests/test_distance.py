@@ -21,9 +21,9 @@ from ffdist import (
     spherical_profile,
 )
 from ffdist.errors import (
+    CapExceeded,
     DuplicatePoint,
     FieldMismatch,
-    PairCapExceeded,
     UnindexableSpace,
 )
 from conftest import random_set
@@ -52,7 +52,20 @@ class TestPointSet:
     def test_coordinates_reduced_and_sorted(self):
         E = make_point_set(3, 2, [(4, 5), (0, 1)])
         assert E.points.tolist() == [[0, 1], [1, 2]]
-        assert E.size == 2
+        assert (E.q, E.s, E.size) == (3, 2, 2)
+        assert make_point_set(13, 1, [(5,)]).s == 1  # s is read off the points
+
+    def test_large_permuted_set_matches_a_unique_sort(self):
+        q, s, n = 2039, 2, 300_000
+        rng = np.random.default_rng(4)
+        pts = np.stack(np.unravel_index(rng.choice(q ** s, n, replace=False), (q,) * s), axis=1)
+        E = make_point_set(q, s, pts)
+        assert E.points.dtype == np.int64 and E.points.shape == (n, s)
+        assert E.points.tobytes() == np.unique(pts, axis=0).astype(np.int64).tobytes()
+        # A repeat names its second input row: row n - 7 moves to n - 6 behind the copy.
+        with pytest.raises(DuplicatePoint) as info:
+            make_point_set(q, s, np.insert(pts, 1000, pts[n - 7], axis=0))
+        assert info.value.row == n - 6
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -123,7 +136,7 @@ class TestNuBrute:
 
     def test_pair_cap(self):
         E = random_set(13, 2, 40, 0)
-        with pytest.raises(PairCapExceeded):
+        with pytest.raises(CapExceeded, match=r"#E \* #F = 1600 exceeds pair cap 100"):
             nu_brute(E, E, pair_cap=100)
 
     def test_field_mismatch(self):

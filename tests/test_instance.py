@@ -54,7 +54,7 @@ DIRECT = {
 
 
 def fresh(E):
-    return PointSet(q=E.q, s=E.s, points=E.points.copy())
+    return PointSet(q=E.q, points=E.points.copy())
 
 
 def counting(monkeypatch, module, name):

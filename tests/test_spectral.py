@@ -68,7 +68,7 @@ def plancherel_gap(ctx, f):
 
 def random_grid(q, s, seed):
     rng = np.random.default_rng(seed)
-    return GridFunction(q=q, s=s, values=rng.standard_normal((q,) * s))
+    return GridFunction(rng.standard_normal((q,) * s))
 
 
 class TestNormSquared:
@@ -80,15 +80,15 @@ class TestNormSquared:
 
 class TestForwardTransform:
     def test_point_mass_is_flat(self, contexts):
-        for q, s in ((3, 2), (5, 1), (7, 2)):
+        for q, s in ((3, 2), (5, 1), (7, 2), (7, 3)):
             vals = np.zeros((q,) * s)
             vals.flat[0] = 1.0
-            F = forward_transform(contexts[q], GridFunction(q=q, s=s, values=vals))
+            F = forward_transform(contexts[q], GridFunction(vals))
             assert np.allclose(F.values, 1.0 / q ** s, atol=1e-12)
 
     def test_constant_is_point_mass(self, contexts):
         q, s = 5, 2
-        F = forward_transform(contexts[q], GridFunction(q=q, s=s, values=np.ones((q,) * s)))
+        F = forward_transform(contexts[q], GridFunction(np.ones((q,) * s)))
         expected = np.zeros((q, (q + 1) // 2), dtype=np.complex128)
         expected.flat[0] = 1.0
         assert np.allclose(F.values, expected, atol=1e-12)
@@ -114,7 +114,7 @@ class TestForwardTransform:
     def test_rejects_complex_grid(self, contexts):
         f = random_grid(5, 2, 0)
         with pytest.raises(TypeError, match="complex"):
-            forward_transform(contexts[5], GridFunction(q=5, s=2, values=f.values + 0j))
+            forward_transform(contexts[5], GridFunction(f.values + 0j))
 
     def test_rejects_spectrum_input(self, contexts):
         F = forward_transform(contexts[3], random_grid(3, 2, 0))
@@ -126,13 +126,20 @@ class TestForwardTransform:
         with pytest.raises(CapExceeded):
             forward_transform(make_field(7, grid_cap=10), f)
 
-    @pytest.mark.parametrize("q", (151, 167))  # the dense and the pocketfft backend
-    def test_refuses_a_grid_over_another_field(self, monkeypatch, q):
+    # A grid over another field, at the dense and at the pocketfft backend, and grids
+    # whose first axis is q but whose shape is not (q,)*s.
+    @pytest.mark.parametrize("q,shape,match", (
+        (151, (163, 163), "grid lives over q=163, field context has q=151"),
+        (167, (163, 163), "grid lives over q=163, field context has q=167"),
+        (7, (7, 5), r"grid has shape \(7, 5\), expected \(7, 7\)"),
+        (7, (7, 14), r"grid has shape \(7, 14\), expected \(7, 7\)"),
+        (7, (7, 7, 1), r"grid has shape \(7, 7, 1\), expected \(7, 7, 7\)"),
+    ), ids=("151", "167", "7x5", "7x14", "7x7x1"))
+    def test_refuses_a_grid_over_another_field(self, monkeypatch, q, shape, match):
         monkeypatch.setattr(spectral, "_dft_matrices", None)  # no transform runs
         monkeypatch.setattr(np.fft, "rfftn", None)
-        f = GridFunction(q=163, s=2, values=np.ones((163, 163)))
-        with pytest.raises(FieldMismatch, match=f"grid lives over q=163, field context has q={q}"):
-            forward_transform(make_field(q), f)
+        with pytest.raises(FieldMismatch, match=match):
+            forward_transform(make_field(q), GridFunction(np.ones(shape)))
 
 
 def support_sum(values, ms):
@@ -199,7 +206,7 @@ from ffdist import GridFunction, forward_transform, make_field, spectral
 ctx = make_field(151)
 for group in (1, 2):
     for size in (spectral.PAD_MAX, spectral.PAD_MAX + 1):
-        out = forward_transform(ctx, GridFunction(q=151, s=3, values=grouped_lines(group, size, seed=size)))
+        out = forward_transform(ctx, GridFunction(grouped_lines(group, size, seed=size)))
         print(group, size, hashlib.sha256(out.values.tobytes()).hexdigest())
 """
 
@@ -213,7 +220,7 @@ class TestOccupiedLines:
     def test_matches_long_double_support_sum(self, q, build):
         ctx = make_field(q)
         values = build(ctx)
-        got = forward_transform(ctx, GridFunction(q=q, s=values.ndim, values=values)).values
+        got = forward_transform(ctx, GridFunction(values)).values
         ms = np.argwhere(np.ones(got.shape, dtype=bool))
         if len(ms) > 4096:  # a large grid: 2000 of its frequencies, the origin among them
             ms = ms[np.random.default_rng(0).choice(len(ms), 2000, replace=False)]
@@ -242,13 +249,15 @@ class TestInverseTransform:
     @pytest.mark.parametrize("s", (1, 2, 3))
     def test_round_trip(self, contexts, q, s):
         f = random_grid(q, s, seed=q + 100 * s)
-        back = inverse_transform(contexts[q], forward_transform(contexts[q], f))
+        F = forward_transform(contexts[q], f)
+        back = inverse_transform(contexts[q], F)
+        assert (f.q, f.s) == (F.q, F.s) == (back.q, back.s) == (q, s)
         assert np.max(np.abs(back.values - f.values)) <= 1e-9
 
     def test_round_trip_binary_grid(self, contexts):
         rng = np.random.default_rng(7)
         vals = (rng.random((5, 5)) < 0.5).astype(np.float64)
-        f = GridFunction(q=5, s=2, values=vals)
+        f = GridFunction(vals)
         back = inverse_transform(contexts[5], forward_transform(contexts[5], f))
         assert back.values.dtype == np.float64
         assert np.max(np.abs(back.values - vals)) <= 1e-9
@@ -256,7 +265,7 @@ class TestInverseTransform:
     def test_point_mass_spectrum_gives_constant(self, contexts):
         vals = np.zeros((3, 2), dtype=np.complex128)
         vals[0, 0] = 1.0
-        g = inverse_transform(contexts[3], Spectrum(q=3, s=2, values=vals))
+        g = inverse_transform(contexts[3], Spectrum(vals))
         assert g.values.shape == (3, 3)
         assert np.allclose(g.values, 1.0, atol=1e-12)
 
@@ -269,16 +278,18 @@ class TestInverseTransform:
         monkeypatch.setattr(np.fft, "irfftn", None)  # no transform runs
         with pytest.raises(FieldMismatch, match="spectrum lives over q=7, field context has q=11"):
             inverse_transform(contexts[11], S)
+        with pytest.raises(FieldMismatch, match=r"spectrum has shape \(5, 4\), expected \(7, 4\)"):
+            inverse_transform(contexts[7], Spectrum(S.values[:5]))
 
 
 class TestPlancherel:
     def test_single_point(self, contexts):
         vals = np.zeros((5, 5))
         vals[2, 3] = 1.0
-        assert plancherel_gap(contexts[5], GridFunction(q=5, s=2, values=vals)) <= 1e-12
+        assert plancherel_gap(contexts[5], GridFunction(vals)) <= 1e-12
 
     def test_zero_grid(self, contexts):
-        f = GridFunction(q=3, s=2, values=np.zeros((3, 3)))
+        f = GridFunction(np.zeros((3, 3)))
         assert plancherel_gap(contexts[3], f) == 0.0
 
     @pytest.mark.parametrize("q,s", [(7, 2), (13, 2), (5, 3)])
@@ -415,7 +426,7 @@ class TestPocketfftBackend:
         g = random_grid(157, 2, seed=3).values
         if binary:
             g = (g > 0).astype(np.float64)
-        got = forward_transform(ctx, GridFunction(q=157, s=2, values=g)).values
+        got = forward_transform(ctx, GridFunction(g)).values
         dense = dense_passes(spectral._dft_matrices(ctx), g) / 157 ** 2
         assert got.shape == (157, 79)
         assert np.max(np.abs(got - half(dense))) <= 1e-12
@@ -425,7 +436,7 @@ class TestPocketfftBackend:
         # The inverse runs pocketfft at every q, on both sides of DENSE_MAX_Q.
         ctx = make_field(q)
         F = np.fft.fftn(random_grid(q, 2, seed=4).values)  # a real grid's full spectrum
-        got = inverse_transform(ctx, Spectrum(q=q, s=2, values=half(F))).values
+        got = inverse_transform(ctx, Spectrum(half(F))).values
         # The reference runs in long double, off BLAS, with the kernel e(+x m / q)
         # built from 2 pi k / q, so its bytes do not depend on the BLAS thread count.
         k = np.arange(q)
