@@ -38,9 +38,13 @@ EXIT_USAGE = 2
 EXIT_CAP = 3
 
 
-def _add_caps(p: argparse.ArgumentParser) -> None:
+def _add_grid_cap(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cap-grid", type=int, default=DEFAULT_GRID_CAP,
                    help="max q**s grid entries")
+
+
+def _add_caps(p: argparse.ArgumentParser) -> None:
+    _add_grid_cap(p)
     p.add_argument("--cap-pairs", type=int, default=DEFAULT_PAIR_CAP,
                    help="max #E * #F for the brute path")
 
@@ -63,6 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="product_interval side lengths, comma separated")
     g.add_argument("--in-file", type=str, default=None, help="from_file source")
     g.add_argument("--out", type=str, required=True)
+    _add_grid_cap(g)
 
     v = sub.add_parser("verify", help="run checkers on seeded random sets")
     v.add_argument("--q", type=int, required=True)
@@ -103,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen(args) -> int:
-    ctx = make_field(args.q)
+    ctx = make_field(args.q, grid_cap=args.cap_grid)
     params = {}
     if args.radius is not None:
         params["radius"] = args.radius

@@ -9,9 +9,11 @@ oracle) and a spectral path (nu_spectral) that runs two grid transforms,
 buckets the cross-spectrum conj(Ehat) * Fhat by |m|^2, and assembles all
 q counts through the closed-form sphere kernel with two length-q FFTs,
 O(q log q) extra work.
-The pair loop sums each pair's (x_i - y_i)^2 mod q one coordinate at a
-time from a table of squares into int32 (at most s (q - 1) < 2^31), in
-blocks of about 1e6 pairs, and folds their histogram mod q once; no Fourier step.
+The pair loop sums each pair's (x_i - y_i)^2 mod q one group of consecutive
+axes at a time, one lookup per group in a table of those sums (all s axes in
+one group at 31^3 or 101^2, one axis a group at q = 1021), into int32 (at most
+s (q - 1) < 2^31), in blocks of about 1e6 pairs, and folds their histogram
+mod q once; no Fourier step.
 The spectral counts must round back to the brute-force integers; a
 residual above 1e-6 raises RoundingDrift instead of returning drifted
 values.
@@ -41,9 +43,27 @@ from .errors import (
     UnindexableSpace,
 )
 from .field import DEFAULT_PAIR_CAP, FieldContext, check_field, check_grid_cap
-from .spectral import GridFunction, Spectrum, by_norm, forward_transform
+from .spectral import GridFunction, Spectrum, by_norm, check_spectrum, forward_transform
 
 DEFAULT_RESIDUAL_TOL = 1e-6
+
+# Most entries of one nu_brute group table: a group takes the most axes n with
+# (2q - 1)^n <= TABLE_MAX.  nu_brute seconds by TABLE_MAX (1 BLAS thread, 2-core
+# host, median of 11 interleaved calls; E x F of 2000 x 2010 at 31^3, 5000 x 5000
+# at 101^2, 151^3 and 1021^2, 3000 x 3000 otherwise):
+#                2^12   2^14   2^16   2^17   2^18   2^19   2^20   2^22
+#   31^3        0.038  0.041  0.040  0.038  0.029  0.028  0.027  0.028
+#   101^2       0.208  0.208  0.141  0.134  0.144  0.138  0.133  0.145
+#   13^5        0.105  0.084  0.081  0.080  0.081  0.099  0.101  0.095
+#   151^3       0.265  0.271  0.279  0.202  0.192  0.185  0.183  0.175
+#   1021^2      0.193  0.166  0.172  0.184  0.177  0.174  0.186  0.356
+#   3^30        0.174  0.139  0.141  0.173  0.160  0.161  0.167  0.306
+#   43^3        0.081  0.059  0.058  0.055  0.056  0.054  0.044  0.048
+#   7^8         0.091  0.077  0.059  0.057  0.056  0.056  0.062  0.073
+# 2^18 is the least that takes all of 31^3 into one group (61^3 = 226981
+# entries, under 1 MB); from 2^19 the 390625-entry four-axis table slows 13^5,
+# and at 2^22 the two-axis table of 1021^2 (16 MB) doubles its time.
+TABLE_MAX = 2 ** 18
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,11 +160,16 @@ def nu_brute(E: PointSet, F: PointSet,
     """Bucket |x - y|^2 over all of E x F; exact integer counts.
 
     Blocks of E rows against all of F, about 1e6 pairs each, bound the
-    temporaries.  Each pair's |x - y|^2 is built one axis at a time: the
-    offset difference (x_i + q - 1) - y_i indexes a table of squares mod q,
-    and the s lookups add into one int32 (block, #F) accumulator, whose
-    entries stay at most s (q - 1) < 2^31 (3145716 at q <= 2^20 with
-    q^s < 2^63).  Their int64 histogram, of length s q, folds mod q once.
+    temporaries.  The axes are cut into groups of n consecutive axes, n the
+    most with (2q - 1)^n <= TABLE_MAX (at least 1; the last group may be
+    shorter).  A group's int32 table holds sum_i (d_i^2 mod q) for each
+    offset vector d + (q - 1) read in base 2q - 1, and each point has one
+    int64 key per group, (x + q - 1) . w for E and y . w for F with w the
+    powers of 2q - 1, so a pair's index into the table is kx - ky.  The
+    lookups, one per pair and group, add into one int32 (block, #F)
+    accumulator, whose entries stay at most s (q - 1) < 2^31 (3145716 at
+    q <= 2^20 with q^s < 2^63).  Their int64 histogram, of length s q,
+    folds mod q once.
     """
     _require_same_field(E, F)
     if E.size * F.size > pair_cap:
@@ -152,16 +177,28 @@ def nu_brute(E: PointSet, F: PointSet,
             f"#E * #F = {E.size * F.size} exceeds pair cap {pair_cap}"
         )
     q, s = E.q, E.s
+    base = 2 * q - 1
     d = np.arange(1 - q, q)
     squares = (d * d % q).astype(np.int32)  # squares[d + q - 1] = d^2 mod q
-    X, Y = E.points + (q - 1), F.points
-    sums = np.zeros(s * q, dtype=np.int64)  # sums[n] = #pairs whose sum is n
+    # tables[k - 1] holds the sums over k axes; each further axis is the next
+    # more significant digit in base 2q - 1.
+    tables = [squares]
+    while len(tables) < s and base ** (len(tables) + 1) <= TABLE_MAX:
+        tables.append(np.add.outer(squares, tables[-1]).ravel())
+    n = len(tables)
+    groups = []  # (table, keys of E, keys of F) per group of axes
+    for lo in range(0, s, n):
+        k = min(n, s - lo)
+        w = base ** np.arange(k, dtype=np.int64)
+        groups.append((tables[k - 1], (E.points[:, lo:lo + k] + (q - 1)) @ w,
+                       F.points[:, lo:lo + k] @ w))
+    (table, kx, ky), *rest = groups
+    sums = np.zeros(s * q, dtype=np.int64)  # sums[t] = #pairs whose sum is t
     block = max(1, 1_000_000 // max(1, F.size))
     for lo in range(0, E.size, block):
-        rows = X[lo:lo + block]
-        acc = np.take(squares, rows[:, None, 0] - Y[None, :, 0])
-        for i in range(1, s):
-            acc += np.take(squares, rows[:, None, i] - Y[None, :, i])
+        acc = np.take(table, kx[lo:lo + block, None] - ky)
+        for t, x, y in rest:
+            acc += np.take(t, x[lo:lo + block, None] - y)
         sums += np.bincount(acc.ravel(), minlength=s * q)
     return DistanceDistribution(nu=sums.reshape(s, q).sum(axis=0))
 
@@ -222,15 +259,22 @@ def distance_set(dist: DistanceDistribution) -> set[int]:
 
 
 def spherical_profile(ctx: FieldContext, Ehat: Spectrum) -> np.ndarray:
-    """sigma_E(r) for all r as a float64 (q,) array: one bucketing pass over |Ehat|^2."""
-    check_field(ctx, "spectrum", Ehat.q)
+    """sigma_E(r) for all r as a float64 (q,) array: one bucketing pass over |Ehat|^2.
+
+    A spectrum of another shape than ctx's stored half raises FieldMismatch.
+    """
+    check_spectrum(ctx, Ehat)
     return by_norm(ctx, np.abs(Ehat.values) ** 2)
 
 
 def cross_profile(ctx: FieldContext, Ehat: Spectrum, Fhat: Spectrum) -> np.ndarray:
-    """sigma_{E,F}(r) = sum_{|m|^2 = r} Re(conj(Ehat(m)) Fhat(m)) as a float64 (q,) array."""
+    """sigma_{E,F}(r) = sum_{|m|^2 = r} Re(conj(Ehat(m)) Fhat(m)) as a float64 (q,) array.
+
+    Like spherical_profile it refuses, with FieldMismatch, a spectrum of another shape.
+    """
     _require_same_field(Ehat, Fhat)
-    check_field(ctx, "spectrum", Ehat.q)
+    check_spectrum(ctx, Ehat)
+    check_spectrum(ctx, Fhat)
     return by_norm(ctx, (np.conj(Ehat.values) * Fhat.values).real)
 
 

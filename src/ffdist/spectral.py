@@ -206,14 +206,19 @@ def forward_transform(ctx: FieldContext, f: GridFunction) -> Spectrum:
     return Spectrum(vals)
 
 
-def inverse_transform(ctx: FieldContext, F: Spectrum) -> GridFunction:
-    """f(x) = sum_m e(+m.x/q) fhat(m); exact inverse of forward_transform."""
-    if isinstance(F, GridFunction):
-        raise TypeError("input is a space-domain GridFunction, not a Spectrum")
+def check_spectrum(ctx: FieldContext, F: Spectrum) -> None:
+    """Raise FieldMismatch unless F is a stored half over ctx.q: shape (q,)*(s-1) + ((q+1)//2,)."""
     check_field(ctx, "spectrum", F.q)
     shape = (ctx.q,) * (F.s - 1) + ((ctx.q + 1) // 2,)
     if F.values.shape != shape:
         raise FieldMismatch(f"spectrum has shape {F.values.shape}, expected {shape}")
+
+
+def inverse_transform(ctx: FieldContext, F: Spectrum) -> GridFunction:
+    """f(x) = sum_m e(+m.x/q) fhat(m); exact inverse of forward_transform."""
+    if isinstance(F, GridFunction):
+        raise TypeError("input is a space-domain GridFunction, not a Spectrum")
+    check_spectrum(ctx, F)
     check_grid_cap(ctx, F.s)
     # norm="forward" leaves the inverse sum unscaled.
     return GridFunction(np.fft.irfftn(F.values, (ctx.q,) * F.s, axes=range(F.s), norm="forward"))

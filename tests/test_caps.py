@@ -25,6 +25,7 @@ from ffdist.distance import (
 from ffdist.errors import CapExceeded, ConfigError
 from ffdist.field import DEFAULT_GRID_CAP, DEFAULT_PAIR_CAP, make_field
 from ffdist.generators import GeneratorSpec, generate
+from ffdist.setio import read_pointset
 from ffdist.spectral import (
     GridFunction,
     Spectrum,
@@ -170,6 +171,20 @@ class TestGridCap:
         proc = cli(*args, "--q", "7", "--cap-grid", "48")
         assert proc.returncode == 3
         assert "exceeds grid cap 48" in proc.stderr
+
+    def test_cli_cap_grid_reaches_gen(self, tmp_path):
+        out = tmp_path / "E.txt"
+        args = ("gen", "--q", "7", "--s", "2", "--kind", "product_interval",
+                "--lengths", "7,7", "--out", str(out))
+        proc = cli(*args, "--cap-grid", "48")
+        assert proc.returncode == 3
+        assert "product set of 49 points exceeds grid cap 48" in proc.stderr
+        assert not out.exists()
+        proc = cli(*args, "--cap-grid", "-1")
+        assert proc.returncode == 2 and "grid_cap = -1 must be >= 0" in proc.stderr
+        proc = cli(*args, "--cap-grid", "49")
+        assert proc.returncode == 0, proc.stderr
+        assert read_pointset(out).size == 49
 
 
 class TestRealIndicators:

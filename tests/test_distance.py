@@ -1,3 +1,4 @@
+import math
 import re
 import tracemalloc
 from fractions import Fraction
@@ -37,6 +38,19 @@ def literal_nu(E, F):
     for x in E.points:
         nu += np.bincount(((x - F.points) ** 2).sum(axis=1) % E.q, minlength=E.q)
     return nu
+
+
+@pytest.fixture
+def lookups(monkeypatch):
+    """(table size, index shape) of every np.take call the test makes."""
+    calls, take = [], np.take
+
+    def spy(a, indices, *args, **kwargs):
+        calls.append((a.size, indices.shape))
+        return take(a, indices, *args, **kwargs)
+
+    monkeypatch.setattr(np, "take", spy)
+    return calls
 
 
 def full_grid_set(q, s):
@@ -182,6 +196,39 @@ class TestNuBrute:
         nu = nu_brute(E, F).nu
         assert nu[(s * (q - 1)) % q] >= 1
         assert np.array_equal(nu, literal_nu(E, F))
+
+    # Group tables at TABLE_MAX = 2**18 hold (2q - 1)^n entries each.
+    @pytest.mark.parametrize("q,s,tables", [
+        (31, 3, [61 ** 3]),                     # every axis in one group
+        (101, 2, [201 ** 2]),
+        (13, 5, [25 ** 3, 25 ** 2]),            # a full group, then a shorter one
+        (3, 39, [5 ** 7] * 5 + [5 ** 4]),
+        (1048573, 2, [2 * 1048573 - 1] * 2),    # (2q - 1)^2 > TABLE_MAX: one axis a group
+    ], ids=["31^3", "101^2", "13^5", "3^39", "1048573^2"])
+    def test_one_lookup_per_pair_and_group_of_axes(self, lookups, q, s, tables):
+        rng = np.random.default_rng(q + s)
+        E = make_point_set(q, s, np.unique(rng.integers(0, q, (300, s)), axis=0))
+        F = make_point_set(q, s, np.unique(rng.integers(0, q, (250, s)), axis=0))
+        nu = nu_brute(E, F).nu
+        assert lookups == [(n, (E.size, F.size)) for n in tables]  # one block
+        assert np.array_equal(nu, literal_nu(E, F))
+
+    def test_no_group_table_exceeds_table_max(self, lookups):
+        # Groups take the most axes whose table fits TABLE_MAX; one axis always
+        # does, so only a one-axis table (2q - 1 entries) may be longer.
+        for q in (3, 5, 7, 13, 31, 61, 101, 151, 257, 521, 1021, 1048573):
+            base = 2 * q - 1
+            for s in range(1, 9):
+                if q ** s > 2 ** 63 - 1:
+                    break
+                lookups.clear()
+                nu_brute(make_point_set(q, s, [(0,) * s, (1,) * s]),
+                         make_point_set(q, s, [(q - 1,) * s]))
+                sizes = [size for size, _ in lookups]
+                assert math.prod(sizes) == base ** s  # the groups cover the s axes
+                assert all(n <= distance.TABLE_MAX or n == base for n in sizes)
+                assert set(sizes[:-1]) <= {sizes[0]} and sizes[-1] <= sizes[0]
+                assert len(sizes) == 1 or sizes[0] * base > distance.TABLE_MAX
 
     def test_one_row_per_block(self):
         # #F > 1_000_000 leaves max(1, 1_000_000 // #F) = 1 row of E per block.
@@ -351,6 +398,18 @@ class TestProfiles:
         with pytest.raises(FieldMismatch, match=re.escape(
                 "inputs live over (q=7, s=2) and (q=7, s=3)")):
             cross_profile(contexts[7], Ehat, Fhat)
+
+    def test_profiles_refuse_a_spectrum_of_another_shape(self, contexts, monkeypatch):
+        # (5, 4) reads as q = 7, s = 2 off its last axis; the leading axis is not 7.
+        bad = spectral.Spectrum(np.zeros((5, 4), dtype=np.complex128))
+        good = set_spectrum(contexts[7], random_set(7, 2, 12, seed=3))
+        monkeypatch.setattr(distance, "by_norm", None)  # no bucketing runs
+        shape = re.escape("spectrum has shape (5, 4), expected (7, 4)")
+        with pytest.raises(FieldMismatch, match=shape):
+            spherical_profile(contexts[7], bad)
+        for pair in ((bad, good), (good, bad)):
+            with pytest.raises(FieldMismatch, match=shape):
+                cross_profile(contexts[7], *pair)
 
     def test_cross_profile_refuses_a_spectrum_over_another_field(self, contexts, monkeypatch):
         Ehat = set_spectrum(contexts[7], random_set(7, 2, 12, seed=3))
