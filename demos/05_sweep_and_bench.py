@@ -6,10 +6,11 @@ identical seeds give byte-identical CSV, so sweep outputs diff cleanly
 across machines and runs.
 """
 
+import json
 import tempfile
 from pathlib import Path
 
-from ffdist.sweep import SweepConfig, run_bench, run_sweep, bench_to_json, rows_to_csv
+from ffdist.sweep import SweepConfig, run_bench, run_sweep, rows_to_csv
 
 with tempfile.TemporaryDirectory() as tmp:
     out = Path(tmp) / "sweep.csv"
@@ -31,7 +32,7 @@ with tempfile.TemporaryDirectory() as tmp:
 print("\nbench: spectral path vs literal pair loop "
       "(both produce identical integer counts)")
 report = run_bench(q=101, s=2, sizeE=2000, sizeF=2000, repetitions=3, seed=7)
-print(bench_to_json(report))
+print(json.dumps(report, indent=2))
 
 print("equivalent CLI invocations:")
 print("  ffdist sweep --q 5,7,13 --s 2 --sizes 10x15,25x25 --trials 2 "

@@ -24,6 +24,7 @@ from .distance import (
     DistanceDistribution,
     make_point_set,
     set_spectrum,
+    set_spectra,
     nu_brute,
     nu_spectral,
     distance_set,

@@ -43,7 +43,7 @@ from .distance import (
     intersection_count,
     nu_brute,
     nu_spectral,
-    set_spectrum,
+    set_spectra,
     spherical_profile,
 )
 from .field import FieldContext
@@ -92,8 +92,9 @@ class Instance:
     def __init__(self, ctx: FieldContext, E: PointSet, F: PointSet):
         self.ctx, self.E, self.F = ctx, E, F
 
-    ehat = cached_property(lambda self: set_spectrum(self.ctx, self.E))
-    fhat = cached_property(lambda self: set_spectrum(self.ctx, self.F))
+    spectra = cached_property(lambda self: set_spectra(self.ctx, self.E, self.F))
+    ehat = property(lambda self: self.spectra[0])
+    fhat = property(lambda self: self.spectra[1])
     sig_e = cached_property(lambda self: spherical_profile(self.ctx, self.ehat))
     sig_f = cached_property(lambda self: spherical_profile(self.ctx, self.fhat))
     sig_ef = cached_property(lambda self: cross_profile(self.ctx, self.ehat, self.fhat))

@@ -14,6 +14,7 @@ path that cannot be read or written, 3 cap exceeded.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 from .checks import CHECKERS
@@ -23,7 +24,6 @@ from .generators import KINDS, GeneratorSpec, generate
 from .setio import write_pointset
 from .sweep import (
     SweepConfig,
-    bench_to_json,
     parse_checkers,
     parse_int_list,
     parse_sizes,
@@ -168,7 +168,7 @@ def _cmd_bench(args) -> int:
     report = run_bench(args.q, args.s, args.sizeE, args.sizeF,
                        repetitions=args.reps, seed=args.seed,
                        grid_cap=args.cap_grid, pair_cap=args.cap_pairs)
-    _emit(bench_to_json(report), args.out)
+    _emit(json.dumps(report, indent=2) + "\n", args.out)
     if report["mode"] == "full" and not report["outputs_match"]:
         return EXIT_CHECK_FAILED
     if report["mode"] == "spectral_only" and not report["mass_identity_ok"]:

@@ -5,10 +5,12 @@ For E, F in F_q^s the central object is
     nu(j) = #{(x, y) in E x F : |x - y|^2 = j},
 
 computed two ways: a literal pair loop (nu_brute, exact integers, the
-oracle) and a spectral path (nu_spectral) that runs two grid transforms,
-buckets the cross-spectrum conj(Ehat) * Fhat by |m|^2, and assembles all
-q counts through the closed-form sphere kernel with two length-q FFTs,
-O(q log q) extra work.
+oracle) and a spectral path (nu_spectral) that takes both spectra from
+set_spectra (one grid transform per set on the dense passes, one complex
+transform of 1_E + i 1_F for the pair on pocketfft), buckets the
+cross-spectrum conj(Ehat) * Fhat by |m|^2, and assembles all q counts
+through the closed-form sphere kernel with two length-q FFTs, O(q log q)
+extra work.
 The pair loop sums each pair's (x_i - y_i)^2 mod q one group of consecutive
 axes at a time, one lookup per group in a table of those sums (all s axes in
 one group at 31^3 or 101^2, one axis a group at q = 1021), into int32 (at most
@@ -43,7 +45,14 @@ from .errors import (
     UnindexableSpace,
 )
 from .field import DEFAULT_PAIR_CAP, FieldContext, check_field, check_grid_cap
-from .spectral import GridFunction, Spectrum, by_norm, check_spectrum, forward_transform
+from .spectral import (
+    GridFunction,
+    Spectrum,
+    by_norm,
+    check_spectrum,
+    dense_forward,
+    forward_transform,
+)
 
 DEFAULT_RESIDUAL_TOL = 1e-6
 
@@ -105,23 +114,22 @@ def make_point_set(q: int, s: int, points: Iterable[Sequence[int]]) -> PointSet:
         raise ValueError(f"points must be {s}-tuples")
     if pts.dtype.kind not in "iu":
         raise ValueError(f"coordinates must be int64-range integers, not {pts.dtype}")
-    return sorted_point_set(q, pts.astype(np.int64) % q)
+    return sorted_point_set(q, s, np.ravel_multi_index((pts.astype(np.int64) % q).T, (q,) * s))
 
 
-def sorted_point_set(q: int, pts: np.ndarray) -> PointSet:
-    """Radix-sort rows with coordinates in [0, q) into a PointSet; repeats raise DuplicatePoint.
+def sorted_point_set(q: int, s: int, idx: np.ndarray) -> PointSet:
+    """The PointSet of the points of F_q^s with radix indices idx; a repeat raises DuplicatePoint.
 
-    The radix indices are sorted and unravelled into rows once; only a repeat takes the
-    stable argsort, which names the repeat's second input row.
+    The indices are sorted and unravelled into rows once; only a repeat takes the stable
+    argsort, which names the repeat's second position in idx (its input row).
     """
-    shape = (q,) * pts.shape[1]
-    idx = np.ravel_multi_index(pts.T, shape)
+    shape = (q,) * s
     keys = np.sort(idx)
     if np.any(keys[1:] == keys[:-1]):
         order = np.argsort(idx, kind="stable")
         row = int(order[np.flatnonzero(np.diff(idx[order]) == 0)[0] + 1])
-        raise DuplicatePoint(
-            f"point {tuple(int(c) for c in pts[row])} appears twice", row=row)
+        point = tuple(int(c) for c in np.unravel_index(idx[row], shape))
+        raise DuplicatePoint(f"point {point} appears twice", row=row)
     return PointSet(q=q, points=np.stack(np.unravel_index(keys, shape), axis=1))
 
 
@@ -149,10 +157,43 @@ def indicator_grid(E: PointSet) -> GridFunction:
 
 
 def set_spectrum(ctx: FieldContext, E: PointSet) -> Spectrum:
-    """Fourier transform of the indicator; Ehat(0) = #E / q^s exactly."""
+    """Fourier transform of the indicator; Ehat(0) = #E / q^s, exactly on the dense passes."""
     check_field(ctx, "set", E.q)
     check_grid_cap(ctx, E.s)
     return forward_transform(ctx, indicator_grid(E))
+
+
+def set_spectra(ctx: FieldContext, E: PointSet, F: PointSet) -> tuple[Spectrum, Spectrum]:
+    """(Ehat, Fhat), the spectra of a cell's two sets; E may be F.
+
+    Where forward_transform runs the dense passes these are two set_spectrum calls.  On
+    pocketfft one complex transform G of the grid 1_E + i 1_F gives both, as the
+    transform of a real grid has fhat(-m) = conj(fhat(m)):
+    Ehat(m) = (G(m) + conj G(-m)) / 2 and Fhat(m) = (G(m) - conj G(-m)) / 2i.
+    """
+    _require_same_field(E, F)
+    check_field(ctx, "set", E.q)
+    check_grid_cap(ctx, E.s)
+    if dense_forward(ctx.q):
+        return set_spectrum(ctx, E), set_spectrum(ctx, F)
+    q, s = E.q, E.s
+    g = np.zeros((q,) * s, dtype=np.complex128)
+    g.reshape(-1).real[E.radix_indices()] = 1.0
+    g.reshape(-1).imag[F.radix_indices()] = 1.0
+    np.fft.fftn(g, out=g)
+    # conj G(-m) on the stored half: on the last axis -m is q - m, read from the other
+    # half; reversing every other axis takes m to q - 1 - m, and a roll by one to -m.
+    h = (q + 1) // 2
+    flip = (slice(None, None, -1),) * (s - 1)
+    neg = np.concatenate((g[..., :1], g[..., :h - 1:-1]), axis=-1)[flip]
+    neg = np.roll(neg, (1,) * (s - 1), axis=tuple(range(s - 1)))
+    np.conj(neg, out=neg)
+    half, scale = g[..., :h], 0.5 / q ** s
+    ehat = half + neg
+    ehat *= scale
+    np.subtract(half, neg, out=neg)
+    neg *= -1j * scale
+    return Spectrum(ehat), Spectrum(neg)
 
 
 def nu_brute(E: PointSet, F: PointSet,
@@ -213,7 +254,7 @@ def nu_spectral(ctx: FieldContext, E: PointSet, F: PointSet,
     cross profile sigma_EF); because Shat_j(m) depends on m only through
     |m|^2, the remaining j-dependence is a single length-q character sum,
     and both length-q sums below are unnormalised inverse FFTs: O(q log q)
-    for all j after two transforms.  Counts are rounded to integers and
+    for all j after set_spectra.  Counts are rounded to integers and
     the pre-rounding residual is gated at DEFAULT_RESIDUAL_TOL
     (RoundingDrift).
 
@@ -224,7 +265,7 @@ def nu_spectral(ctx: FieldContext, E: PointSet, F: PointSet,
     check_field(ctx, "set", E.q)
     q, s = E.q, E.s
     if cross is None:
-        cross = cross_profile(ctx, set_spectrum(ctx, E), set_spectrum(ctx, F))
+        cross = cross_profile(ctx, *set_spectra(ctx, E, F))
     if np.shape(cross) != (q,):
         raise FieldMismatch(f"cross profile has shape {np.shape(cross)}, expected ({q},) at q={q}")
 

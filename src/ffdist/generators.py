@@ -67,9 +67,7 @@ def generate(ctx: FieldContext, s: int, spec: GeneratorSpec) -> PointSet:
         raise BadGenerator(f"kind {spec.kind} does not read {', '.join(unread)}")
 
     if spec.kind == "uniform_random":
-        flat = _choose(spec, q ** s, f"q**s = {q ** s}")
-        pts = np.stack(np.unravel_index(flat, (q,) * s), axis=1).astype(np.int64)
-        return sorted_point_set(q, pts)
+        return sorted_point_set(q, s, _choose(spec, q ** s, f"q**s = {q ** s}"))
 
     if spec.kind == "isotropic_line":
         if s != 2:
@@ -79,7 +77,7 @@ def generate(ctx: FieldContext, s: int, spec: GeneratorSpec) -> PointSet:
         i = sqrt_mod(ctx, q - 1)
         assert i is not None
         x = np.arange(q, dtype=np.int64)
-        return sorted_point_set(q, np.stack([x, (i * x) % q], axis=1))
+        return sorted_point_set(q, 2, x * q + (i * x) % q)
 
     if spec.kind == "sphere_set":
         r = int(spec.params.get("radius", 1))
@@ -87,8 +85,8 @@ def generate(ctx: FieldContext, s: int, spec: GeneratorSpec) -> PointSet:
         if len(pts) == 0:
             raise BadGenerator(f"sphere r = {r} is empty at q = {q}, s = {s}")
         if spec.size is not None:
-            pts = pts[np.sort(_choose(spec, len(pts), f"|S_{r}| = {len(pts)}"))]
-        return sorted_point_set(q, pts)
+            pts = pts[_choose(spec, len(pts), f"|S_{r}| = {len(pts)}")]
+        return sorted_point_set(q, s, np.ravel_multi_index(pts.T, (q,) * s))
 
     if spec.kind == "product_interval":
         lengths = [int(v) for v in spec.params.get("lengths", [])]
@@ -97,8 +95,8 @@ def generate(ctx: FieldContext, s: int, spec: GeneratorSpec) -> PointSet:
         count = math.prod(lengths)  # of the box [0, l_1) x ... x [0, l_s)
         if count > ctx.grid_cap:
             raise CapExceeded(f"product set of {count} points exceeds grid cap {ctx.grid_cap}")
-        grids = np.meshgrid(*[np.arange(v, dtype=np.int64) for v in lengths], indexing="ij")
-        return sorted_point_set(q, np.stack([g.ravel() for g in grids], axis=1))
+        return sorted_point_set(q, s, np.ravel_multi_index(np.indices(lengths).reshape(s, -1),
+                                                          (q,) * s))
 
     path = spec.params.get("path")  # from_file
     if not path:

@@ -54,7 +54,7 @@ def read_pointset(path) -> PointSet:
         raise ParseError(f"{path}:{n + 2}: trailing content after {n} points")
 
     try:
-        return sorted_point_set(q, pts)
+        return sorted_point_set(q, s, np.ravel_multi_index(pts.T, (q,) * s))
     except DuplicatePoint as exc:
         raise DuplicatePoint(f"{path}:{exc.row + 2}: duplicate point") from None
 

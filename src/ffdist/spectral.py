@@ -11,7 +11,8 @@ the radix-q row-major encoding of (x_1, ..., x_s); the transforms refuse
 any other shape.  As fhat(-m) =
 conj(fhat(m)), a Spectrum stores only last-axis indices 0 .. (q-1)/2 (q is
 odd: no Nyquist plane), and by_norm buckets by |m|^2 from that half.  The
-inverse is pocketfft's irfftn; the forward backend is chosen from q alone:
+inverse is pocketfft's irfftn; the forward backend is chosen from q alone,
+by dense_forward, which distance.set_spectra reads too:
 
   * q <= PAD_MAX = 128 and q = DENSE_MAX_Q = 151: s dense length-q passes
     against the cached q x q table, the last axis first onto its half, over
@@ -22,7 +23,9 @@ inverse is pocketfft's irfftn; the forward backend is chosen from q alone:
     about 4500 of its 22801 lines and cost about half that.
   * every other q, 131 to 149 included: pocketfft's rfftn (Bluestein for
     prime lengths), O(q^s log q).  It uses no BLAS, so its bytes do not
-    depend on the BLAS thread count.
+    depend on the BLAS thread count.  At prime q its real transform costs
+    about as much as its complex one, so set_spectra takes a cell's two sets
+    through one complex fftn of 1_E + i 1_F there, not through this function.
 
 sphere_spectrum is the direct transform of a sphere's 0/1 grid; the
 character-sum closed form of the same values is charsums'
@@ -188,6 +191,11 @@ def _dense_passes(W: np.ndarray, values: np.ndarray) -> np.ndarray:
     return vals.reshape(shape)
 
 
+def dense_forward(q: int) -> bool:
+    """Whether the forward transform at q runs the dense passes; else it runs pocketfft."""
+    return q <= PAD_MAX or q == DENSE_MAX_Q
+
+
 def forward_transform(ctx: FieldContext, f: GridFunction) -> Spectrum:
     """fhat(x) = q^(-s) sum_m e(-m.x/q) f(m) on the stored half, axis-factored."""
     if isinstance(f, Spectrum):
@@ -198,7 +206,7 @@ def forward_transform(ctx: FieldContext, f: GridFunction) -> Spectrum:
     if f.values.shape != (ctx.q,) * f.s:
         raise FieldMismatch(f"grid has shape {f.values.shape}, expected {(ctx.q,) * f.s}")
     check_grid_cap(ctx, f.s)
-    if ctx.q <= PAD_MAX or ctx.q == DENSE_MAX_Q:
+    if dense_forward(ctx.q):
         vals = _dense_passes(_dft_matrices(ctx), f.values)
     else:
         vals = np.fft.rfftn(f.values)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import json
 import statistics
 import time
 from dataclasses import dataclass
@@ -208,10 +207,6 @@ def run_bench(q: int, s: int, sizeE: int, sizeF: int, repetitions: int = 5,
     report["outputs_match"] = bool(np.array_equal(brute.nu, spectral.nu))
     report["mode"] = "full"
     return report
-
-
-def bench_to_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=False) + "\n"
 
 
 def parse_sizes(text: str) -> list[tuple[int, int]]:

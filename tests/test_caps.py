@@ -8,6 +8,7 @@ cap, and the cap is still checked.
 """
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from ffdist.distance import (
     cross_profile,
     indicator_grid,
     nu_spectral,
+    set_spectra,
     set_spectrum,
     spherical_profile,
 )
@@ -61,6 +63,7 @@ GRID_FUNCTIONS = {
     "sphere_indicator": lambda ctx: sphere_indicator(ctx, 2, 1),
     "sphere_spectrum": lambda ctx: sphere_spectrum(ctx, 2, 1),
     "set_spectrum": lambda ctx: set_spectrum(ctx, E),
+    "set_spectra": lambda ctx: set_spectra(ctx, E, F),
     "nu_spectral": lambda ctx: nu_spectral(ctx, E, F),
     "spherical_profile": lambda ctx: spherical_profile(ctx, EHAT),
     "cross_profile": lambda ctx: cross_profile(ctx, EHAT, FHAT),
@@ -138,6 +141,20 @@ class TestGridCap:
         with pytest.raises(CapExceeded, match="exceeds grid cap 48"):
             CHECKERS[name](CAPPED, E, F)
         CHECKERS[name](make_field(7, grid_cap=49), E, F)
+
+    def test_set_spectra_refuses_before_it_allocates_on_pocketfft(self):
+        # The table above runs at q = 7, on the dense passes; at 1021 the complex grid
+        # 1_E + i 1_F alone would take 16 MB.
+        ctx = make_field(1021, grid_cap=1021 ** 2 - 1)
+        E2, F2 = random_set(1021, 2, 50, 1), random_set(1021, 2, 60, 2)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceeded, match=f"exceeds grid cap {1021 ** 2 - 1}"):
+                set_spectra(ctx, E2, F2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 16
 
     def test_character_sum_table_reads_the_cap(self):
         # At s = 1 the q x (q - 1) table of the class values outgrows the q**s grid.

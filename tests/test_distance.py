@@ -17,6 +17,7 @@ from ffdist import (
     make_point_set,
     nu_brute,
     nu_spectral,
+    set_spectra,
     set_spectrum,
     spectral,
     spherical_profile,
@@ -128,6 +129,56 @@ class TestSetSpectrum:
         for call in (lambda: set_spectrum(ctx, E), lambda: nu_spectral(ctx, E, F)):
             with pytest.raises(FieldMismatch, match=f"q=157, field context has q={q}"):
                 call()
+
+
+# Dense q: set_spectra is two set_spectrum calls.  Pocketfft q (131 is past PAD_MAX,
+# s = 1 has no leading axis to reverse): one complex transform gives both spectra.
+DENSE_SHAPES = [(31, 3), (151, 2), (151, 3)]
+POCKETFFT_SHAPES = [(131, 2), (157, 2), (157, 3), (257, 2), (1021, 1), (1021, 2)]
+
+
+def spectra_sets(q, s):
+    n = min(2000, q ** s // 3)
+    return random_set(q, s, n, seed=q + s), random_set(q, s, n + 10, seed=q + s + 1)
+
+
+class TestSetSpectra:
+    @pytest.mark.parametrize("q,s", DENSE_SHAPES)
+    def test_dense_q_gives_the_bytes_of_two_set_spectrum_calls(self, q, s):
+        ctx = make_field(q)
+        assert spectral.dense_forward(q)
+        E, F = spectra_sets(q, s)
+        for spectrum, A in zip(set_spectra(ctx, E, F), (E, F)):
+            assert spectrum.values.tobytes() == set_spectrum(ctx, A).values.tobytes()
+
+    @pytest.mark.parametrize("q,s", POCKETFFT_SHAPES)
+    def test_pocketfft_q_matches_set_spectrum(self, q, s):
+        ctx = make_field(q)
+        assert not spectral.dense_forward(q)
+        E, F = spectra_sets(q, s)
+        for spectrum, A in zip(set_spectra(ctx, E, F), (E, F)):
+            ref = set_spectrum(ctx, A).values
+            assert spectrum.values.shape == ref.shape
+            assert np.max(np.abs(spectrum.values - ref)) <= 1e-12 * np.max(np.abs(ref))
+            assert spectrum.values.flat[0] == pytest.approx(A.size / q ** s, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("q,s", DENSE_SHAPES + POCKETFFT_SHAPES)
+    def test_nu_spectral_matches_oracle(self, q, s):
+        ctx = make_field(q)
+        E, F = spectra_sets(q, s)
+        for A, B in ((E, F), (F, E), (E, E)):  # E is F too: G = (1 + i) 1_E
+            assert np.array_equal(nu_spectral(ctx, A, B).nu, nu_brute(A, B).nu)
+
+    @pytest.mark.parametrize("q", (151, 157))  # the dense and the pocketfft backend
+    def test_refuses_sets_over_different_fields(self, q):
+        ctx = make_field(q)
+        E = random_set(q, 2, 10, 0)
+        for other in (random_set(163, 2, 10, 1), random_set(q, 3, 10, 1)):
+            for A, B in ((E, other), (other, E)):
+                with pytest.raises(FieldMismatch, match="inputs live over"):
+                    set_spectra(ctx, A, B)
+        with pytest.raises(FieldMismatch, match=f"q=163, field context has q={q}"):
+            set_spectra(ctx, random_set(163, 2, 10, 1), random_set(163, 2, 12, 2))
 
 
 class TestNuBrute:

@@ -72,9 +72,10 @@ def counting(monkeypatch, module, name):
 class TestComputeOnce:
     def test_one_oracle_pass_and_one_transform_per_set(self, monkeypatch):
         brute = counting(monkeypatch, checks, "nu_brute")
-        spectra = counting(monkeypatch, checks, "set_spectrum")
-        # A transform taken behind the instance's back would show here.
-        monkeypatch.setattr(distance, "set_spectrum", checks.set_spectrum)
+        # At q = 7 set_spectra takes one set_spectrum per set, and every caller in the
+        # package reaches set_spectrum through distance: a transform taken behind the
+        # instance's back would show here.
+        spectra = counting(monkeypatch, distance, "set_spectrum")
         cfg = SweepConfig(q_list=[7], s_list=[3], size_pairs=[(20, 21)],
                           trials=1, seed=4, checkers=sorted(CHECKERS))
         rows = run_verify(cfg)
@@ -101,14 +102,15 @@ class TestComputeOnce:
 
     def test_sweep_releases_the_last_cell(self, monkeypatch):
         made = []
-        original = checks.set_spectrum
+        original = checks.set_spectra
 
         def recorded(*args):
-            spectrum = original(*args)
-            made.extend([weakref.ref(spectrum), weakref.ref(spectrum.values)])
-            return spectrum
+            spectra = original(*args)
+            for spectrum in spectra:
+                made.extend([weakref.ref(spectrum), weakref.ref(spectrum.values)])
+            return spectra
 
-        monkeypatch.setattr(checks, "set_spectrum", recorded)
+        monkeypatch.setattr(checks, "set_spectra", recorded)
         cfg = SweepConfig(q_list=[7], s_list=[2, 3], size_pairs=[(20, 21)],
                           trials=2, seed=4, checkers=sorted(CHECKERS))
         run_verify(cfg)
