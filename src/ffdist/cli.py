@@ -5,7 +5,6 @@ Subcommands:
   verify    run checkers on seeded random sets, emit reports
   sweep     run a checker grid over (q, s, sizes, trials), emit CSV
   bench     time nu_brute vs nu_spectral, emit a JSON report
-  selftest  quick built-in identity suite
 
 Exit codes: 0 ok, 1 explicit-check failure, 2 usage/config error or a
 path that cannot be read or written, 3 cap exceeded.
@@ -29,7 +28,7 @@ from .sweep import (
     parse_sizes,
     rows_to_csv,
     run_bench,
-    run_sweep,
+    run_verify,
 )
 
 EXIT_OK = 0
@@ -102,8 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--seed", type=int, default=0)
     b.add_argument("--out", type=str, default=None, help="default stdout")
     _add_caps(b)
-
-    sub.add_parser("selftest", help="quick built-in identity suite")
     return top
 
 
@@ -132,36 +129,33 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _cmd_verify(args) -> int:
-    cfg = SweepConfig(
-        q_list=[args.q], s_list=[args.s],
-        size_pairs=[(args.sizeE, args.sizeF)],
-        trials=args.trials, seed=args.seed,
-        checkers=parse_checkers(args.lemma),
+def _check_cells(args, q_list, s_list, size_pairs, render) -> int:
+    """Run args' checkers over the cells and emit render(rows) to args.out (a sweep
+    also says how many rows it wrote); exit 1 when some asserted check failed."""
+    rows = run_verify(SweepConfig(
+        q_list=q_list, s_list=s_list, size_pairs=size_pairs,
+        trials=args.trials, seed=args.seed, checkers=parse_checkers(args.lemma),
         grid_cap=args.cap_grid, pair_cap=args.cap_pairs,
-    )
-    rows, all_ok = run_sweep(cfg)
-    if args.format == "csv":
-        text = rows_to_csv(rows)
-    else:
-        text = "\n".join(r.report.to_json() for r in rows) + "\n"
-    _emit(text, args.out)
-    return EXIT_OK if all_ok else EXIT_CHECK_FAILED
+    ))
+    _emit(render(rows), args.out)
+    if args.command == "sweep":
+        print(f"wrote {len(rows)} rows to {args.out}")
+    failed = any(r.report.explicit_pass is False for r in rows)
+    return EXIT_CHECK_FAILED if failed else EXIT_OK
+
+
+def _json_lines(rows) -> str:
+    return "\n".join(r.report.to_json() for r in rows) + "\n"
+
+
+def _cmd_verify(args) -> int:
+    render = rows_to_csv if args.format == "csv" else _json_lines
+    return _check_cells(args, [args.q], [args.s], [(args.sizeE, args.sizeF)], render)
 
 
 def _cmd_sweep(args) -> int:
-    cfg = SweepConfig(
-        q_list=parse_int_list(args.q, "--q"),
-        s_list=parse_int_list(args.s, "--s"),
-        size_pairs=parse_sizes(args.sizes),
-        trials=args.trials, seed=args.seed,
-        checkers=parse_checkers(args.lemma),
-        grid_cap=args.cap_grid, pair_cap=args.cap_pairs,
-    )
-    rows, all_ok = run_sweep(cfg)
-    _emit(rows_to_csv(rows), args.out)
-    print(f"wrote {len(rows)} rows to {args.out}")
-    return EXIT_OK if all_ok else EXIT_CHECK_FAILED
+    return _check_cells(args, parse_int_list(args.q, "--q"), parse_int_list(args.s, "--s"),
+                        parse_sizes(args.sizes), rows_to_csv)
 
 
 def _cmd_bench(args) -> int:
@@ -176,21 +170,6 @@ def _cmd_bench(args) -> int:
     return EXIT_OK
 
 
-def _cmd_selftest(args) -> int:
-    cfg = SweepConfig(
-        q_list=[5, 7], s_list=[2], size_pairs=[(6, 10)], trials=2, seed=11,
-        checkers=sorted(CHECKERS),
-    )
-    rows, all_ok = run_sweep(cfg)
-    failures = [r for r in rows if r.report.explicit_pass is False]
-    for r in rows:
-        verdict = ("pass" if r.report.explicit_pass
-                   else "FAIL" if r.report.explicit_pass is False else "info")
-        print(f"{verdict:4} {r.report.lemma_id:17} q={r.q} s={r.s} trial={r.trial}")
-    print(f"selftest: {len(rows)} checks, {len(failures)} failures")
-    return EXIT_OK if all_ok else EXIT_CHECK_FAILED
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -199,7 +178,6 @@ def main(argv=None) -> int:
         "verify": _cmd_verify,
         "sweep": _cmd_sweep,
         "bench": _cmd_bench,
-        "selftest": _cmd_selftest,
     }
     try:
         return handlers[args.command](args)

@@ -53,18 +53,18 @@ from .field import FieldContext, check_field, check_grid_cap
 #   s = 2: 2.21 at q = 101, 2.27 at 151, 1.14 at 199, 0.55 at 509, 0.32 at 1021
 #   s >= 3: 2.31 at 101^3, 1.79 at 151^3, 1.74 at 157^3, 2.02 at 43^4, 1.34 at 13^5
 # Over the occupied lines only, sparse grids favour the dense passes further.
-# Dense stayed faster to about q = 200; 151 is kept for thread stability: dense
-# bytes were equal at 1 and 2 BLAS threads at 31^3, 13^5, 43^4, 101^2, 101^3,
-# 151^2 and 151^3 and differed at 157^2, 257^2 and 157^3, and at 131^2, 131^3,
-# 137^2, 149^2 and 149^3, whose length q BLAS blocks by thread count (see PAD_MAX).
+# Dense stayed faster to about q = 200; 151 is kept for thread stability, under the
+# SkylakeX OpenBLAS kernel only (see PAD_MAX): dense bytes were equal at 1 and 2 BLAS
+# threads at 31^3, 13^5, 43^4, 101^2, 101^3, 151^2 and 151^3 and differed at 157^2, 257^2,
+# 157^3, 131^2, 131^3, 137^2, 149^2 and 149^3 (BLAS blocks those lengths by thread count).
 DENSE_MAX_Q = 151
 
 # Longest contraction the dense passes pad a group of occupied lines to; a longer
-# group is padded to q, the length of the plain passes.  OpenBLAS 0.3.31 zgemm
-# (2-core Haswell host) gave equal bytes at 1 and 2 threads for a (151 x k) by
-# (k x n) product at every k <= 128 and at k = 135, 136, 143, 144 and 151, and
-# other bytes at k = 129-134, 137-142 and 145-150 (n = 76 batched 151 times, 2000
-# and 11476).  So no padded contraction is less stable than the plain pass at q.
+# group is padded to q, the length of the plain passes.  OpenBLAS 0.3.31 zgemm under
+# its SkylakeX kernel (2-core host) gave equal bytes at 1 and 2 threads for a (151 x k)
+# by (k x n) product at every k <= 128 and at k = 135, 136, 143, 144 and 151 (n = 76
+# batched 151 times, 2000 and 11476), other bytes elsewhere.  So no padded contraction
+# is less stable than the plain pass at q; this scan fails under the Haswell and Zen kernels.
 PAD_MAX = 128
 
 

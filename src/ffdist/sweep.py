@@ -128,6 +128,7 @@ def iter_sweep(cfg: SweepConfig) -> Iterator[SweepRow]:
 
 
 def run_verify(cfg: SweepConfig) -> list[SweepRow]:
+    """The sweep's rows in configuration order; no I/O and no verdict (that is the CLI's)."""
     return list(iter_sweep(cfg))
 
 
@@ -152,15 +153,6 @@ def row_to_csv(row: SweepRow) -> str:
 def rows_to_csv(rows: Sequence[SweepRow]) -> str:
     """The CSV document: header, one line per row, trailing newline."""
     return "\n".join([CSV_HEADER] + [row_to_csv(r) for r in rows]) + "\n"
-
-
-def run_sweep(cfg: SweepConfig) -> tuple[list[SweepRow], bool]:
-    """Execute the sweep and report overall pass; no I/O.
-
-    The boolean is False exactly when some explicit_pass came back False.
-    """
-    rows = run_verify(cfg)
-    return rows, all(r.report.explicit_pass is not False for r in rows)
 
 
 def run_bench(q: int, s: int, sizeE: int, sizeF: int, repetitions: int = 5,

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from ffdist import (
+    Spectrum,
     charsums,
     cross_profile,
     make_point_set,
@@ -13,6 +15,7 @@ from ffdist import (
     set_spectrum,
     spherical_profile,
 )
+from ffdist import checks
 from ffdist.checks import (
     CHECKERS,
     check_cross_zero,
@@ -28,7 +31,7 @@ from ffdist.checks import (
     check_sphere_bounds,
     dyadic_decompose,
 )
-from ffdist.sweep import SweepConfig, run_verify
+from ffdist.sweep import SweepConfig, cell_sets, run_verify
 from conftest import random_set
 from test_distance import full_grid_set
 
@@ -346,3 +349,99 @@ class TestRegistry:
         for name, fn in CHECKERS.items():
             rep = fn(contexts[5], E, F)
             assert rep.lemma_id == name
+
+
+def _bumped(dist, j, by):
+    """The DistanceDistribution dist with nu[j] moved by the integer by."""
+    nu = dist.nu.copy()
+    nu[j] += by
+    return dataclasses.replace(dist, nu=nu)
+
+
+# Each corruption crosses its checker's own tolerance by the least amount that is
+# not float noise, so a loosened tolerance lets the corrupted cell pass.
+def _corrupt_profile_mass(inst, monkeypatch):
+    # moves sum sigma_F by 2e-10, twice the 1e-10 equality tolerance
+    inst.__dict__["sig_f"] = inst.sig_f * (1 + 2e-10 / inst.sig_f.sum())
+
+
+def _corrupt_nu_spectral(inst, monkeypatch):
+    # the least step of an exact integer count
+    inst.__dict__["brute"] = _bumped(inst.brute, 5, 1)
+
+
+def _corrupt_nu_zero(inst, monkeypatch):
+    # puts |delta| = |nu(0) - |S_0| #E #F / q^s| one count past q^(s/2) sqrt(#E #F)
+    (q, s), mass = (inst.E.q, inst.E.s), inst.E.size * inst.F.size
+    main = Fraction(inst.s0_size * mass, q ** s)
+    nu0 = math.floor(main + q ** (s / 2) * math.sqrt(mass)) + 1
+    inst.__dict__["spectral"] = _bumped(inst.spectral, 0, nu0 - int(inst.spectral.nu[0]))
+
+
+def _corrupt_second_moment(inst, monkeypatch):
+    # moves the identity's q^(3s) sum |sigma_EF|^2 by 2e-8 of sum nu^2, twice its 1e-8
+    q, s = inst.E.q, inst.E.s
+    lhs = float((inst.brute.nu.astype(np.float64) ** 2).sum())
+    term = q ** (3 * s) * float((inst.sig_ef ** 2).sum())
+    inst.__dict__["sig_ef"] = inst.sig_ef * math.sqrt(1 + 2e-8 * lhs / term)
+
+
+def _corrupt_sigma_bound(inst, monkeypatch):
+    # lifts max sigma_E to 1 + 1e-9 times 2 q^(-s-1) #E + 2 q^(-(3s+1)/2) (#E)^2
+    q, s, n = inst.E.q, inst.E.s, inst.E.size
+    bound = 2 * q ** (-s - 1) * n + 2 * q ** (-(3 * s + 1) / 2) * n ** 2
+    inst.__dict__["sig_e"] = inst.sig_e * (bound * (1 + 1e-9) / inst.sig_e.max())
+
+
+def _corrupt_sphere_bounds(inst, monkeypatch):
+    # |Shat_1(m)| at one m != 0 to 1 + 1e-9 times the Weil cap 2 q^(-(s+1)/2)
+    q = inst.E.q
+    sphere_spectrum = checks.sphere_spectrum
+
+    def corrupted(ctx, s, r):
+        values = sphere_spectrum(ctx, s, r).values.copy()
+        if r == 1:
+            values.flat[1] = 2 * q ** (-(s + 1) / 2) * (1 + 1e-9)
+        return Spectrum(values)
+
+    monkeypatch.setattr(checks, "sphere_spectrum", corrupted)
+    del inst.__dict__["sphere_bounds"]
+
+
+CORRUPTIONS = {
+    "profile_mass": _corrupt_profile_mass,
+    "nu_spectral": _corrupt_nu_spectral,
+    "nu_zero": _corrupt_nu_zero,
+    "second_moment": _corrupt_second_moment,
+    "sigma_bound": _corrupt_sigma_bound,
+    "sphere_bounds": _corrupt_sphere_bounds,
+}
+
+
+class TestAssertedCheckersCanFail:
+    """Every asserted checker returns explicit_pass False once one cached quantity of
+    its cell is corrupted.  dyadic is not here: its chain holds by construction for
+    any profile with values in [0, 1], so it passes on corrupted profiles too."""
+
+    @pytest.fixture(scope="class")
+    def cell(self, contexts):
+        ctx = contexts[31]
+        return (ctx, *cell_sets(ctx, 3, (2000, 2010), 0, 0))
+
+    @pytest.fixture(autouse=True)
+    def _release(self):
+        checks.release()
+        yield
+        checks.release()
+
+    def test_every_asserted_checker_but_dyadic_is_covered(self, cell):
+        asserted = {name for name, fn in CHECKERS.items()
+                    if fn(*cell).explicit_pass is not None}
+        assert asserted - {"dyadic"} == set(CORRUPTIONS)
+
+    @pytest.mark.parametrize("name", sorted(CORRUPTIONS))
+    def test_corrupted_cell_fails(self, cell, monkeypatch, name):
+        checker = CHECKERS[name]
+        assert checker(*cell).explicit_pass is True
+        CORRUPTIONS[name](checks.instance(*cell), monkeypatch)
+        assert checker(*cell).explicit_pass is False

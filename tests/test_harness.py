@@ -25,7 +25,6 @@ from ffdist.sweep import (
     parse_sizes,
     rows_to_csv,
     run_bench,
-    run_sweep,
     run_verify,
     trial_seed,
 )
@@ -220,9 +219,9 @@ class TestSweep:
     def test_rows_deterministic(self):
         cfg = dict(q_list=[3, 5], s_list=[2], size_pairs=[(4, 6)], trials=2,
                    seed=9, checkers=["profile_mass", "nu_spectral"])
-        rows, ok = run_sweep(SweepConfig(**cfg))
-        assert rows_to_csv(rows) == rows_to_csv(run_sweep(SweepConfig(**cfg))[0])
-        assert ok
+        rows = run_verify(SweepConfig(**cfg))
+        assert rows_to_csv(rows) == rows_to_csv(run_verify(SweepConfig(**cfg)))
+        assert all(r.report.explicit_pass for r in rows)
         assert len(rows) == 2 * 1 * 1 * 2 * 2  # q * s * sizes * trials * checkers
 
     def test_row_order_is_config_order(self):
@@ -282,25 +281,10 @@ class TestSweep:
         with pytest.raises(ConfigError, match="--q must be a comma list of integers, got '3,x'"):
             parse_int_list("3,x", "--q")
 
-    def test_failing_check_reported(self, monkeypatch):
-        from ffdist import checks
-        from ffdist.checks import LemmaReport
-
-        def always_fails(ctx, E, F):
-            return LemmaReport(lemma_id="profile_mass", hypothesis_met=True,
-                               lhs=0.0, explicit_pass=False)
-
-        monkeypatch.setitem(checks.CHECKERS, "profile_mass", always_fails)
-        cfg = SweepConfig(q_list=[3], s_list=[2], size_pairs=[(2, 2)], trials=1,
-                          seed=0, checkers=["profile_mass"])
-        rows, all_ok = run_sweep(cfg)
-        assert not all_ok
-        assert "false" in rows_to_csv(rows).splitlines()[1]
-
     def test_float_rendering_17_digits(self):
         cfg = SweepConfig(q_list=[3], s_list=[2], size_pairs=[(6, 6)], trials=1,
                           seed=0, checkers=["profile_mass"])
-        rows, _ = run_sweep(cfg)
+        rows = run_verify(cfg)
         row = rows_to_csv(rows).splitlines()[1]
         lhs = row.split(",")[8]
         assert lhs == format(rows[0].report.lhs, ".17g")
@@ -333,11 +317,6 @@ class TestCLI:
     def test_importing_the_main_module_runs_nothing(self):
         proc = run_python("-c", "import ffdist.__main__")
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
-
-    def test_selftest_exit_zero(self):
-        proc = cli("selftest")
-        assert proc.returncode == 0
-        assert "0 failures" in proc.stdout
 
     def test_gen_verify_pipeline(self, tmp_path):
         out = tmp_path / "set.txt"
@@ -396,12 +375,34 @@ class TestCLI:
         block = README.read_text().split("## CLI", 1)[1].split("```")[1]
         commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
                     if line.startswith("ffdist ")]
-        assert [c[1] for c in commands] == ["gen", "verify", "sweep", "bench", "selftest"]
+        assert [c[1] for c in commands] == ["gen", "verify", "sweep", "bench"]
         for command in commands:
             if command[1] == "bench":  # the acceptance perf gate runs this shape
                 continue
             proc = cli(*command[1:], cwd=tmp_path)
             assert proc.returncode == 0, (command, proc.stderr)
+
+    @pytest.mark.parametrize("command", [
+        ("verify", "--sizeE", "2", "--sizeF", "2", "--format", "csv"),
+        ("sweep", "--sizes", "2x2", "--out", "x.csv"),
+    ], ids=["verify", "sweep"])
+    def test_failing_check_exit_1(self, tmp_path, monkeypatch, capsys, command):
+        from ffdist import checks
+        from ffdist.checks import LemmaReport
+        from ffdist.cli import main
+
+        def always_fails(ctx, E, F):
+            return LemmaReport(lemma_id="profile_mass", hypothesis_met=True,
+                               lhs=0.0, explicit_pass=False)
+
+        monkeypatch.setitem(checks.CHECKERS, "profile_mass", always_fails)
+        monkeypatch.chdir(tmp_path)
+        code = main([*command, "--q", "3", "--s", "2", "--lemma", "profile_mass,nu_spectral"])
+        assert code == 1
+        out = capsys.readouterr().out
+        text = out if command[0] == "verify" else (tmp_path / "x.csv").read_text()
+        verdicts = {r["lemma_id"]: r["explicit_pass"] for r in csv.DictReader(text.splitlines())}
+        assert verdicts == {"profile_mass": "false", "nu_spectral": "true"}
 
     def test_verify_csv_format(self):
         proc = cli("verify", "--q", "5", "--s", "2", "--sizeE", "4", "--sizeF", "4",
