@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,11 +30,12 @@ from ffdist.checks import (
     check_second_moment,
     check_sigma_bound,
     check_sphere_bounds,
-    dyadic_decompose,
 )
 from ffdist.sweep import SweepConfig, cell_sets, run_verify
 from conftest import random_set
 from test_distance import full_grid_set
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 class TestProfileMass:
@@ -223,63 +225,76 @@ class TestSphereBounds:
 
 
 class TestDyadic:
-    def test_constant_profile_single_level(self, contexts):
-        # singleton set at q = 3: sigma is 4/81 on all of F_q^*
-        E = make_point_set(3, 2, [(1, 1)])
-        sig = spherical_profile(contexts[3], set_spectrum(contexts[3], E))
-        dec = dyadic_decompose(sig, sig, 2)
-        assert dec.chosen_level is not None
-        assert set(dec.M.tolist()) == {1, 2}
-        occupied = [n for _, _, n in dec.levels if n > 0]
-        assert occupied == [2]
+    """check_dyadic on a 13^2 cell whose profiles are set in its Instance."""
+
+    q, s = 13, 2
+    i_min = math.ceil(-4 * s * math.log2(q))
+
+    @pytest.fixture
+    def cell(self, contexts):
+        checks.release()
+        yield contexts[13], random_set(13, 2, 25, 0), random_set(13, 2, 30, 1)
+        checks.release()
+
+    def dyadic(self, cell, sig_e, sig_f):
+        checks.instance(*cell).__dict__.update(sig_e=sig_e, sig_f=sig_f)
+        return check_dyadic(*cell)
+
+    def test_constant_profile_single_level(self, cell):
+        sig_f = np.full(self.q, 0.3)  # 1/4 < 0.3 <= 1/2: level -1 for every r != 0
+        rep = self.dyadic(cell, np.full(self.q, 0.5), sig_f)
+        t = rep.rhs_terms
+        assert t["level_count"] == 1 - self.i_min
+        assert t["chosen_A"] == 0.25 and t["chosen_size"] == self.q - 1
+        assert t["max_level_sum"] == rep.lhs == pytest.approx(0.15 * (self.q - 1))
+        assert rep.explicit_pass is None
+        assert rep.measured_constant == rep.lhs / (t["floor_term"] + t["level_count"] * rep.lhs)
 
     def test_level_range_and_A(self, contexts):
-        E = random_set(13, 2, 29, 0)
-        sig = spherical_profile(contexts[13], set_spectrum(contexts[13], E))
-        dec = dyadic_decompose(sig, sig, 2)
-        i_min = math.ceil(-8 * math.log2(13))
-        assert dec.levels[0][0] == i_min
-        assert dec.levels[-1][0] == 0
-        assert dec.A == 2.0 ** (dec.chosen_level - 1)
-        on_m = sig[dec.M]
-        assert np.all(on_m >= dec.A - 1e-15)
-        assert np.all(on_m <= 2 * dec.A + 1e-15)
+        ctx, E = contexts[13], random_set(13, 2, 29, 0)
+        sig = spherical_profile(ctx, set_spectrum(ctx, E))
+        t = check_dyadic(ctx, E, E).rhs_terms
+        assert t["level_count"] == 1 - self.i_min
+        A = t["chosen_A"]
+        assert A == 2.0 ** round(math.log2(A))
+        assert t["chosen_size"] == np.count_nonzero((sig[1:] > A) & (sig[1:] <= 2 * A)) > 0
 
-    def test_below_floor_profile_reported_empty(self):
-        vals = np.full(13, 1e-40)
-        vals[0] = 0.0
-        dec = dyadic_decompose(vals, vals, 2)
-        assert dec.chosen_level is None
-        assert dec.M.size == 0
-        assert dec.A == 0.0
+    def test_below_floor_profile_reported_empty(self, cell):
+        sig_f = np.full(self.q, 1e-40)
+        sig_f[0] = 0.0
+        rep = self.dyadic(cell, np.full(self.q, 0.5), sig_f)
+        t = rep.rhs_terms
+        assert t["chosen_A"] == 0.0 and t["chosen_size"] == 0.0 and t["max_level_sum"] == 0.0
+        assert rep.lhs > 0 and rep.measured_constant == rep.lhs / t["floor_term"]
 
-    def test_floor_mass_joins_no_level_but_counts(self):
-        q, s = 13, 2
-        i_min = math.ceil(-4 * s * math.log2(q))
-        sig = np.zeros(q)
-        sig[1], sig[2] = 0.5, 2.0 ** (i_min - 2)  # sig[2] lies under the floor
-        companion = np.full(q, 3.0)
-        dec = dyadic_decompose(sig, companion, s)
-        assert dec.chosen_level == -1 and dec.M.tolist() == [1]  # 1/4 < 0.5 <= 1/2
-        assert sum(n for _, _, n in dec.levels) == 1
-        assert dec.product_sum == 1.5 + 3.0 * 2.0 ** (i_min - 2)
-        assert sum(t for _, t, _ in dec.levels) == 1.5
+    def test_floor_mass_joins_no_level_but_counts(self, cell):
+        sig_f = np.zeros(self.q)
+        sig_f[1], sig_f[2] = 0.5, 2.0 ** (self.i_min - 2)  # sig_f[2] lies under the floor
+        sig_e = np.full(self.q, 3.0)
+        sig_e[2] = 2.0 ** (3 - self.i_min)  # weight 2 at r = 2, more than level -1's 1.5
+        rep = self.dyadic(cell, sig_e, sig_f)
+        t = rep.rhs_terms
+        assert t["chosen_A"] == 0.25 and t["chosen_size"] == 1.0  # 1/4 < 0.5 <= 1/2
+        assert t["max_level_sum"] == 1.5
+        assert rep.lhs == 3.5
 
-    def test_refuses_a_cross_profile(self, contexts):
-        E, F = random_set(13, 2, 29, 0), random_set(13, 2, 31, 1)
-        Ehat, Fhat = set_spectrum(contexts[13], E), set_spectrum(contexts[13], F)
-        sig, cross = spherical_profile(contexts[13], Ehat), cross_profile(contexts[13], Ehat, Fhat)
-        # A cross profile is real but can be negative; a single-set profile cannot.
-        assert cross.dtype == np.float64 and cross.min() < 0 <= sig.min()
-        for args in ((cross, sig), (sig, cross)):
-            with pytest.raises(ValueError, match="single-set profiles"):
-                dyadic_decompose(*args, 2)
+    def test_a_tie_chooses_the_higher_level(self, cell):
+        sig_e, sig_f = np.zeros(self.q), np.zeros(self.q)
+        sig_e[1], sig_f[1] = 0.4, 0.5  # level -1, T = 0.2
+        sig_e[2], sig_f[2] = 1.0, 0.2  # level -2, T = 0.2
+        t = self.dyadic(cell, sig_e, sig_f).rhs_terms
+        assert t["chosen_A"] == 0.25 and t["chosen_size"] == 1.0
 
-    def test_checker_pigeonhole(self, contexts):
+    def test_checker_measures_the_pigeonhole_share(self, contexts):
+        ctx = contexts[13]
         for seed in range(4):
-            rep = check_dyadic(contexts[13], random_set(13, 2, 25, seed),
-                               random_set(13, 2, 30, 50 + seed))
-            assert rep.explicit_pass
+            E, F = random_set(13, 2, 25, seed), random_set(13, 2, 30, 50 + seed)
+            rep = check_dyadic(ctx, E, F)
+            sig_e = spherical_profile(ctx, set_spectrum(ctx, E))
+            sig_f = spherical_profile(ctx, set_spectrum(ctx, F))
+            assert rep.explicit_pass is None
+            assert 0 <= rep.measured_constant <= 1
+            assert rep.lhs == float((sig_e * sig_f)[1:].sum())
 
 
 class TestDistanceTheorem:
@@ -420,8 +435,8 @@ CORRUPTIONS = {
 
 class TestAssertedCheckersCanFail:
     """Every asserted checker returns explicit_pass False once one cached quantity of
-    its cell is corrupted.  dyadic is not here: its chain holds by construction for
-    any profile with values in [0, 1], so it passes on corrupted profiles too."""
+    its cell is corrupted, and the README's checker table marks exactly these as
+    asserted."""
 
     @pytest.fixture(scope="class")
     def cell(self, contexts):
@@ -434,10 +449,20 @@ class TestAssertedCheckersCanFail:
         yield
         checks.release()
 
-    def test_every_asserted_checker_but_dyadic_is_covered(self, cell):
+    def test_every_asserted_checker_is_covered(self, cell):
         asserted = {name for name, fn in CHECKERS.items()
                     if fn(*cell).explicit_pass is not None}
-        assert asserted - {"dyadic"} == set(CORRUPTIONS)
+        assert asserted == set(CORRUPTIONS)
+
+    def test_readme_table_marks_the_asserted_checkers(self, cell):
+        section = README.read_text().split("\n## Checkers\n", 1)[1].split("\n## ", 1)[0]
+        rows = [line.strip().strip("|").split("|") for line in section.splitlines()
+                if line.startswith("| `")]
+        verdicts = {cells[0].strip().strip("`"): cells[-1].strip() for cells in rows}
+        assert set(verdicts) == set(CHECKERS)
+        asserted = {name for name, fn in CHECKERS.items()
+                    if fn(*cell).explicit_pass is not None}
+        assert {name for name, v in verdicts.items() if v.startswith("asserted")} == asserted
 
     @pytest.mark.parametrize("name", sorted(CORRUPTIONS))
     def test_corrupted_cell_fails(self, cell, monkeypatch, name):
