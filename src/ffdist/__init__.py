@@ -15,7 +15,6 @@ from .spectral import (
     Spectrum,
     forward_transform,
     inverse_transform,
-    enumerate_sphere,
     sphere_counts,
     sphere_spectrum,
 )

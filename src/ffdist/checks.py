@@ -229,7 +229,7 @@ def check_second_moment(ctx: FieldContext, E: PointSet, F: PointSet) -> LemmaRep
         rhs_terms=terms,
         explicit_pass=bool(inequality_ok and identity_ok and pointwise_ok),
         notes="inequality at 1e-6 relative, exact identity at 1e-8 relative, "
-              "plus pointwise Cauchy-Schwarz sub-steps",
+              "plus pointwise Cauchy-Schwarz sub-step",
     )
 
 

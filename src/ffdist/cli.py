@@ -2,7 +2,7 @@
 
 Subcommands:
   gen       write a generated point set to a file
-  verify    run checkers on seeded random sets, emit reports
+  verify    run checkers on seeded random sets, emit JSON reports, one a line
   sweep     run a checker grid over (q, s, sizes, trials), emit CSV
   bench     time nu_brute vs nu_spectral, emit a JSON report
 
@@ -78,7 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--lemma", action="append", default=None,
                    help=f"checker name or comma list; one of {', '.join(sorted(CHECKERS))}; "
                         "default all")
-    v.add_argument("--format", choices=("csv", "json"), default="json")
     v.add_argument("--out", type=str, default=None, help="default stdout")
     _add_caps(v)
 
@@ -129,33 +128,31 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _check_cells(args, q_list, s_list, size_pairs, render) -> int:
-    """Run args' checkers over the cells and emit render(rows) to args.out (a sweep
-    also says how many rows it wrote); exit 1 when some asserted check failed."""
+def _check_cells(args, q_list, s_list, size_pairs) -> int:
+    """Run args' checkers over the cells and emit their CSV (sweep, which also says how
+    many rows it wrote) or JSON reports (verify) to args.out; exit 1 when some asserted
+    check failed."""
     rows = run_verify(SweepConfig(
         q_list=q_list, s_list=s_list, size_pairs=size_pairs,
         trials=args.trials, seed=args.seed, checkers=parse_checkers(args.lemma),
         grid_cap=args.cap_grid, pair_cap=args.cap_pairs,
     ))
-    _emit(render(rows), args.out)
     if args.command == "sweep":
+        _emit(rows_to_csv(rows), args.out)
         print(f"wrote {len(rows)} rows to {args.out}")
+    else:
+        _emit("\n".join(r.report.to_json() for r in rows) + "\n", args.out)
     failed = any(r.report.explicit_pass is False for r in rows)
     return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
-def _json_lines(rows) -> str:
-    return "\n".join(r.report.to_json() for r in rows) + "\n"
-
-
 def _cmd_verify(args) -> int:
-    render = rows_to_csv if args.format == "csv" else _json_lines
-    return _check_cells(args, [args.q], [args.s], [(args.sizeE, args.sizeF)], render)
+    return _check_cells(args, [args.q], [args.s], [(args.sizeE, args.sizeF)])
 
 
 def _cmd_sweep(args) -> int:
     return _check_cells(args, parse_int_list(args.q, "--q"), parse_int_list(args.s, "--s"),
-                        parse_sizes(args.sizes), rows_to_csv)
+                        parse_sizes(args.sizes))
 
 
 def _cmd_bench(args) -> int:

@@ -19,8 +19,8 @@ import numpy as np
 
 from .distance import PointSet, check_indexable, sorted_point_set
 from .errors import BadGenerator, CapExceeded, FieldMismatch
-from .field import FieldContext, sqrt_mod
-from .spectral import enumerate_sphere
+from .field import FieldContext, check_grid_cap, sqrt_mod
+from .spectral import norm_grid
 from . import setio
 
 # kind -> (whether it reads spec.size, the spec.params keys it reads).
@@ -81,12 +81,13 @@ def generate(ctx: FieldContext, s: int, spec: GeneratorSpec) -> PointSet:
 
     if spec.kind == "sphere_set":
         r = int(spec.params.get("radius", 1))
-        pts = enumerate_sphere(ctx, s, r)
-        if len(pts) == 0:
+        check_grid_cap(ctx, s)
+        idx = np.flatnonzero(norm_grid(ctx, s).ravel() == r % q)  # S_r in radix order
+        if idx.size == 0:
             raise BadGenerator(f"sphere r = {r} is empty at q = {q}, s = {s}")
         if spec.size is not None:
-            pts = pts[_choose(spec, len(pts), f"|S_{r}| = {len(pts)}")]
-        return sorted_point_set(q, s, np.ravel_multi_index(pts.T, (q,) * s))
+            idx = idx[_choose(spec, idx.size, f"|S_{r}| = {idx.size}")]
+        return sorted_point_set(q, s, idx)
 
     if spec.kind == "product_interval":
         lengths = [int(v) for v in spec.params.get("lengths", [])]

@@ -27,9 +27,10 @@ by dense_forward, which distance.set_spectra reads too:
     about as much as its complex one, so set_spectra takes a cell's two sets
     through one complex fftn of 1_E + i 1_F there, not through this function.
 
-sphere_spectrum is the direct transform of a sphere's 0/1 grid; the
-character-sum closed form of the same values is charsums'
-sphere_class_values alone.
+sphere_spectrum is the direct transform of a sphere's 0/1 grid, read off
+norm_grid; the character-sum closed form of the same values is charsums'
+sphere_class_values alone, and a sphere's points are generators'
+sphere_set.
 """
 
 from __future__ import annotations
@@ -159,10 +160,12 @@ def _dense_passes(W: np.ndarray, values: np.ndarray) -> np.ndarray:
         return np.zeros(shape, dtype=np.complex128)
     counts = np.bincount(keys // q)
     if counts.max() > PAD_MAX:
-        # Gathering the occupied lines and spreading pass 1's rows into zero rows cost
-        # more than pass 1 over the empty lines: at 151^3 with 4 of 22801 lines empty
-        # the transform took 0.19-0.22 s that way and 0.18 s over every line (1 BLAS
-        # thread, 2-core host).
+        # Only at q = 151: at q <= PAD_MAX no group can exceed PAD_MAX.  Gathering the
+        # occupied lines and spreading pass 1's rows into zero rows cost more than
+        # pass 1 over the empty lines of the occupied groups: at 151^3 the transform
+        # took 99 ms this way and 107 ms without it for 56000 points (largest group
+        # 147), 95 and 108 ms for 150000 points, with equal bytes (medians of 6
+        # interleaved calls, 1 BLAS thread, 2-core host, OpenBLAS 0.3.31).
         keys = (np.flatnonzero(counts)[:, None] * q + np.arange(q)).ravel()
     # W is symmetric: its columns are its rows.
     vals = (flat if keys.size == flat.shape[0] else flat[keys]) @ W[:, :shape[-1]]
@@ -238,23 +241,12 @@ def sphere_counts(ctx: FieldContext, s: int) -> np.ndarray:
     return np.bincount(norm_grid(ctx, s).ravel(), minlength=ctx.q)
 
 
-def enumerate_sphere(ctx: FieldContext, s: int, r: int) -> np.ndarray:
-    """All x with |x|^2 = r as radix-sorted int64 rows of shape (|S_r|, s), by exhaustive scan."""
-    check_grid_cap(ctx, s)
-    flat = np.flatnonzero(norm_grid(ctx, s).ravel() == r % ctx.q)
-    return np.stack(np.unravel_index(flat, (ctx.q,) * s), axis=1).astype(np.int64)
-
-
-def sphere_indicator(ctx: FieldContext, s: int, r: int) -> GridFunction:
-    """0/1 grid of the sphere S_r."""
-    check_grid_cap(ctx, s)
-    return GridFunction((norm_grid(ctx, s) == r % ctx.q).astype(np.float64))
-
-
 def sphere_spectrum(ctx: FieldContext, s: int, r: int) -> Spectrum:
-    """Stored half of the sphere indicator's transform, by forward_transform.
+    """Stored half of the transform of the sphere S_r's 0/1 grid, by forward_transform.
 
     The character-sum closed form of the same values is
     charsums.sphere_class_values, one value per norm class.
     """
-    return forward_transform(ctx, sphere_indicator(ctx, s, r))
+    check_grid_cap(ctx, s)
+    grid = (norm_grid(ctx, s) == r % ctx.q).astype(np.float64)
+    return forward_transform(ctx, GridFunction(grid))

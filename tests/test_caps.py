@@ -32,13 +32,11 @@ from ffdist.spectral import (
     GridFunction,
     Spectrum,
     by_norm,
-    enumerate_sphere,
     forward_transform,
     half_norm_grid,
     inverse_transform,
     norm_grid,
     sphere_counts,
-    sphere_indicator,
     sphere_spectrum,
 )
 from ffdist.sweep import SweepConfig, validate_config
@@ -50,7 +48,8 @@ E, F = random_set(7, 2, 5, 1), random_set(7, 2, 6, 2)
 # Spectra taken under an uncapped context: bucketing them still reads the cap.
 EHAT, FHAT = set_spectrum(make_field(7), E), set_spectrum(make_field(7), F)
 
-# Every public function that builds or reads a grid on F_q^s, called with its defaults.
+# Every public function and generator kind that builds or reads a grid on F_q^s,
+# called with its defaults.
 GRID_FUNCTIONS = {
     "forward_transform": lambda ctx: forward_transform(
         ctx, GridFunction(np.zeros((7, 7)))),
@@ -59,8 +58,7 @@ GRID_FUNCTIONS = {
     "half_norm_grid": lambda ctx: half_norm_grid(ctx, 2),
     "by_norm": lambda ctx: by_norm(ctx, np.ones((7, 4))),
     "sphere_counts": lambda ctx: sphere_counts(ctx, 2),
-    "enumerate_sphere": lambda ctx: enumerate_sphere(ctx, 2, 1),
-    "sphere_indicator": lambda ctx: sphere_indicator(ctx, 2, 1),
+    "sphere_set": lambda ctx: generate(ctx, 2, GeneratorSpec("sphere_set", params={"radius": 1})),
     "sphere_spectrum": lambda ctx: sphere_spectrum(ctx, 2, 1),
     "set_spectrum": lambda ctx: set_spectrum(ctx, E),
     "set_spectra": lambda ctx: set_spectra(ctx, E, F),
@@ -208,7 +206,10 @@ class TestRealIndicators:
     def test_indicator_grids_are_real(self):
         ctx = make_field(7)
         assert indicator_grid(E).values.dtype == np.float64
-        assert sphere_indicator(ctx, 2, 1).values.dtype == np.float64
+        # forward_transform refuses a complex grid, so sphere_spectrum transforms this real one.
+        sphere = GridFunction((norm_grid(ctx, 2) == 1).astype(np.float64))
+        assert np.array_equal(sphere_spectrum(ctx, 2, 1).values,
+                              forward_transform(ctx, sphere).values)
 
     @pytest.mark.parametrize("q, s", ((31, 3), (151, 2)))
     def test_real_indicator_transforms_bit_identical(self, q, s):

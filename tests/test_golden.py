@@ -26,7 +26,7 @@ RUNS = {
     "sweep_s3.csv": ["sweep", "--q", "5,7,13", "--s", "3", "--sizes", "20x30,120x100",
                      "--trials", "2", "--seed", "5", "--out", "sweep_s3.csv"],
     "verify_q31_s3.json": ["verify", "--q", "31", "--s", "3", "--sizeE", "2000",
-                           "--sizeF", "2010", "--format", "json"],
+                           "--sizeF", "2010"],
 }
 
 

@@ -84,6 +84,18 @@ class TestGenerators:
                                                       params={"radius": 1}))
         assert sub.size == 5
 
+    @pytest.mark.parametrize("q,s,r,size,seed,digest", [
+        (31, 3, 5, None, 0, "7638fc63c17ff8d7"),
+        (151, 3, 7, 5000, 11, "be57a52435964d50"),
+    ], ids=["full", "sampled"])
+    def test_sphere_set_points_bytes_are_pinned(self, q, s, r, size, seed, digest):
+        # Point files and seeded cells rest on these bytes, whatever route finds the
+        # indices of S_r: all 930 points of S_5 in 31^3, and 5000 of S_7 in 151^3.
+        E = generate(make_field(q), s, GeneratorSpec("sphere_set", size=size, seed=seed,
+                                                     params={"radius": r}))
+        assert E.points.dtype == np.int64
+        assert hashlib.blake2b(E.points.tobytes(), digest_size=8).hexdigest() == digest
+
     def test_sphere_set_empty_sphere(self, contexts):
         with pytest.raises(BadGenerator):
             generate(contexts[3], 1, GeneratorSpec("sphere_set", params={"radius": 2}))
@@ -383,7 +395,7 @@ class TestCLI:
             assert proc.returncode == 0, (command, proc.stderr)
 
     @pytest.mark.parametrize("command", [
-        ("verify", "--sizeE", "2", "--sizeF", "2", "--format", "csv"),
+        ("verify", "--sizeE", "2", "--sizeF", "2"),
         ("sweep", "--sizes", "2x2", "--out", "x.csv"),
     ], ids=["verify", "sweep"])
     def test_failing_check_exit_1(self, tmp_path, monkeypatch, capsys, command):
@@ -399,28 +411,19 @@ class TestCLI:
         monkeypatch.chdir(tmp_path)
         code = main([*command, "--q", "3", "--s", "2", "--lemma", "profile_mass,nu_spectral"])
         assert code == 1
-        out = capsys.readouterr().out
-        text = out if command[0] == "verify" else (tmp_path / "x.csv").read_text()
-        verdicts = {r["lemma_id"]: r["explicit_pass"] for r in csv.DictReader(text.splitlines())}
+        if command[0] == "verify":  # JSON reports, one a line
+            reports = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        else:
+            reports = csv.DictReader((tmp_path / "x.csv").read_text().splitlines())
+        verdicts = {r["lemma_id"]: str(r["explicit_pass"]).lower() for r in reports}
         assert verdicts == {"profile_mass": "false", "nu_spectral": "true"}
 
-    def test_verify_csv_format(self):
+    def test_verify_has_no_format_option(self):
+        # verify writes JSON reports only; a cell's CSV is sweep's.
         proc = cli("verify", "--q", "5", "--s", "2", "--sizeE", "4", "--sizeF", "4",
-                   "--seed", "2", "--lemma", "profile_mass", "--format", "csv")
-        assert proc.returncode == 0
-        lines = proc.stdout.splitlines()
-        assert lines[0].startswith("lemma_id,q,s,")
-        assert lines[1].startswith("profile_mass,5,2,4,4,0,2,true,")
-
-    def test_verify_csv_is_the_sweep_csv(self, tmp_path):
-        out = tmp_path / "sweep.csv"
-        proc = cli("sweep", "--q", "7", "--s", "2", "--sizes", "20x30", "--trials", "2",
-                   "--seed", "5", "--out", str(out))
-        assert proc.returncode == 0, proc.stderr
-        proc = cli("verify", "--q", "7", "--s", "2", "--sizeE", "20", "--sizeF", "30",
-                   "--trials", "2", "--seed", "5", "--format", "csv")
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.encode() == out.read_bytes()
+                   "--lemma", "profile_mass", "--format", "csv")
+        assert proc.returncode == 2
+        assert "unrecognized arguments: --format csv" in proc.stderr
 
     @pytest.mark.parametrize("args", [
         ("gen", "--q", "5", "--s", "2", "--size", "3", "--out", "{missing}/E.txt"),

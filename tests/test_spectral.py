@@ -7,7 +7,6 @@ import pytest
 from ffdist import (
     GridFunction,
     Spectrum,
-    enumerate_sphere,
     forward_transform,
     inverse_transform,
     make_field,
@@ -15,10 +14,11 @@ from ffdist import (
     sphere_counts,
     sphere_spectrum,
 )
-from ffdist.errors import CapExceeded, FieldMismatch
+from ffdist.errors import BadGenerator, CapExceeded, FieldMismatch
 from ffdist.charsums import sphere_class_values
 from ffdist.distance import indicator_grid
-from ffdist.spectral import by_norm, half_norm_grid, norm_grid, sphere_indicator
+from ffdist.generators import GeneratorSpec, generate
+from ffdist.spectral import by_norm, half_norm_grid, norm_grid
 
 from conftest import random_set, run_python
 
@@ -93,7 +93,7 @@ class TestForwardTransform:
         expected.flat[0] = 1.0
         assert np.allclose(F.values, expected, atol=1e-12)
 
-    def test_sphere_indicator_mass(self, contexts):
+    def test_sphere_spectrum_mass(self, contexts):
         F = sphere_spectrum(contexts[3], 2, 1)
         assert F.values[0, 0] == pytest.approx(4 / 9, abs=1e-12)
 
@@ -188,7 +188,7 @@ OCCUPANCY_CASES = [  # (id, q, grid builder given the field)
     ("one_point", 7, lambda ctx: np.eye(1, 7 ** 3, 200).reshape(7, 7, 7)),
     ("every_line", 13, lambda ctx: random_grid(13, 3, seed=1).values),
     ("uniform_set", 31, lambda ctx: indicator_grid(random_set(31, 3, 2000, seed=2)).values),
-    ("sphere", 13, lambda ctx: sphere_indicator(ctx, 3, 5).values),
+    ("sphere", 13, lambda ctx: (norm_grid(ctx, 3) == 5).astype(np.float64)),
     ("set_151_cube", 151, lambda ctx: indicator_grid(random_set(151, 3, 5000, seed=3)).values),
 ] + [(f"sparse_q{q}_s{s}", q, lambda ctx, s=s: sparse_grid(ctx.q, s, 0.2, seed=10 * ctx.q + s))
      for q in (3, 5) for s in range(1, 6)] + [
@@ -299,6 +299,11 @@ class TestPlancherel:
         assert plancherel_gap(contexts[q], f) <= 1e-9 * max(1.0, energy)
 
 
+def sphere_points(ctx, s, r):
+    """Every point of S_r as rows, from the sphere_set generator."""
+    return generate(ctx, s, GeneratorSpec("sphere_set", params={"radius": r})).points
+
+
 class TestSpheres:
     def test_counts_q3_s2(self, contexts):
         assert sphere_counts(contexts[3], 2).tolist() == [1, 4, 4]
@@ -315,26 +320,31 @@ class TestSpheres:
         assert int(sphere_counts(contexts[q], s).sum()) == q ** s
 
     def test_enumerate_origin_only(self, contexts):
-        assert enumerate_sphere(contexts[3], 2, 0).tolist() == [[0, 0]]
+        assert sphere_points(contexts[3], 2, 0).tolist() == [[0, 0]]
 
     def test_enumerate_unit_sphere_q3(self, contexts):
-        sph = enumerate_sphere(contexts[3], 2, 1)
+        sph = sphere_points(contexts[3], 2, 1)
         assert len(sph) == 4
         assert {tuple(p) for p in sph.tolist()} == {
             (0, 1), (0, 2), (1, 0), (2, 0)}
 
     def test_enumerate_isotropic_q5(self, contexts):
-        assert len(enumerate_sphere(contexts[5], 2, 0)) == 9
+        assert len(sphere_points(contexts[5], 2, 0)) == 9
 
     @pytest.mark.parametrize("q", (3, 5, 7, 13))
     @pytest.mark.parametrize("s", (1, 2, 3))
     def test_members_satisfy_norm(self, contexts, q, s):
         ctx = contexts[q]
         for r in (0, 1, q - 1):
-            sph = enumerate_sphere(ctx, s, r)
+            count = sphere_counts(ctx, s)[r % q]
+            if count == 0:  # sphere_set refuses an empty sphere
+                with pytest.raises(BadGenerator, match="is empty"):
+                    sphere_points(ctx, s, r)
+                continue
+            sph = sphere_points(ctx, s, r)
             # int64 rows, one per point of S_r, in radix order
             assert sph.dtype == np.int64
-            assert sph.shape == (sphere_counts(ctx, s)[r % q], s)
+            assert sph.shape == (count, s)
             assert np.all(np.diff(np.ravel_multi_index(sph.T, (q,) * s)) > 0)
             for p in sph:
                 assert int((p * p).sum()) % q == r % q
