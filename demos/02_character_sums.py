@@ -7,7 +7,9 @@ of b at once; the classical facts (Gauss sign, Weil bound, the closed
 form for the transform of a sphere) are then *observed*, not assumed.
 The closed form comes from sphere_class_values, one value per norm class
 |m|^2, and is spread over the grid here to compare it with sphere_spectrum,
-the direct transform of the sphere's 0/1 grid.
+which takes no closed form: it sums q^(-s-1) sum_t e(-t r/q) prod_i G(t, m_i)
+over t, with G(t, m) = sum_x e((t x^2 - m x)/q) summed literally, the same
+sum from which the sphere_bounds checker reads every radius at once.
 """
 
 import math
@@ -35,7 +37,7 @@ worst_s = max(np.abs(twisted_sums(ctx, a, b, twisted=True)).max() for a in range
 print(f"  max |K(a,b)| over all nonzero a, b  = {worst_k:.4f}")
 print(f"  max |Salie(a,b)| over the same grid = {worst_s:.4f}")
 
-print("\nSphere transforms: direct grid transform vs character-sum closed form")
+print("\nSphere transforms: axis-factored sum over t vs character-sum closed form")
 for q, s in ((13, 2), (7, 3)):
     ctx = make_field(q)
     worst = 0.0

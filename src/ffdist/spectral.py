@@ -27,24 +27,36 @@ by dense_forward, which distance.set_spectra reads too:
     about as much as its complex one, so set_spectra takes a cell's two sets
     through one complex fftn of 1_E + i 1_F there, not through this function.
 
-sphere_spectrum is the direct transform of a sphere's 0/1 grid, read off
-norm_grid; the character-sum closed form of the same values is charsums'
-sphere_class_values alone, and a sphere's points are generators'
-sphere_set.
+Every sphere transform comes from one axis-factored sum, with no closed form:
+as 1[|x|^2 = r] = q^(-1) sum_t e(t (|x|^2 - r)/q),
+
+    Shat_r(m) = q^(-s-1) sum_t e(-t r/q) prod_i G(t, m_i),
+    G(t, m)   = sum_x e((t x^2 - m x)/q),
+
+with G one q x q table summed literally over char_table.  sphere_blocks gives
+every r at once, one first-axis value m_0 of the stored half at a time, and
+sphere_spectrum is row r of those blocks.  The sum over t follows the forward
+transform's backend rule, for its reason (a zgemm of contraction length q kept
+its bytes at 1 and 2 BLAS threads only there): at dense_forward(q) one zgemm
+against the cached q x q table per m_0, elsewhere pocketfft's fft over t.  The
+character-sum closed form of the same values is charsums' sphere_class_values
+alone, and a sphere's points are generators' sphere_set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator
 
 import numpy as np
 
-from .errors import FieldMismatch
+from .errors import CapExceeded, FieldMismatch
 from .field import FieldContext, check_field, check_grid_cap
 
 # Every function here that builds or reads a q**s grid (half_norm_grid, so by_norm
-# too) first checks ctx.grid_cap (field.check_grid_cap); the cached tables stay uncapped.
+# too) first checks ctx.grid_cap (field.check_grid_cap); the cached tables stay uncapped,
+# but sphere_blocks counts its q x q tables, G and W, against the cap too.
 
 # Largest q transformed forward by the dense passes; above it pocketfft runs, and
 # so it does at PAD_MAX < q < DENSE_MAX_Q.
@@ -241,12 +253,54 @@ def sphere_counts(ctx: FieldContext, s: int) -> np.ndarray:
     return np.bincount(norm_grid(ctx, s).ravel(), minlength=ctx.q)
 
 
+def _gauss_table(ctx: FieldContext, s: int) -> np.ndarray:
+    """G[t, m] = sum_x e((t x^2 - m x)/q), summed literally over char_table, t rows at a time.
+
+    A block of t rows gathers rows * q * q characters, at most max(q**s, q*q).
+    """
+    q = ctx.q
+    x = np.arange(q, dtype=np.int64)
+    mx = np.outer(x, x) % q  # mx[m, x] = m x mod q
+    rows = max(1, q ** s // (q * q))
+    G = np.empty((q, q), dtype=np.complex128)
+    for lo in range(0, q, rows):
+        t = x[lo:lo + rows, None, None]
+        G[lo:lo + rows] = ctx.char_table[(t * (x * x % q) - mx) % q].sum(axis=2)
+    return G
+
+
+def sphere_blocks(ctx: FieldContext, s: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Every Shat_r at once: (m_0, vals) for each first-axis value m_0 of the stored half.
+
+    vals[r] holds Shat_r at the stored-half points with first coordinate m_0, so
+    vals has shape (q,) + (q,)*(s-2) + ((q+1)//2,) at s >= 2 and (q,) at s = 1,
+    at most q**s entries; each block is computed as it is drawn.
+    """
+    q = ctx.q
+    check_grid_cap(ctx, s)
+    if q * q > ctx.grid_cap:  # G and W, which outgrow the q**s grid at s = 1
+        raise CapExceeded(f"sphere-sum table {q} x {q} = {q * q} entries "
+                          f"exceeds grid cap {ctx.grid_cap}")
+    half = (q,) * (s - 1) + ((q + 1) // 2,)
+    G = _gauss_table(ctx, s)
+    inner = np.ones((q, 1), dtype=np.complex128)  # inner[t, .] = prod_{i >= 1} G(t, m_i)
+    for n in half[1:]:
+        inner = (inner[:, :, None] * G[:, None, :n]).reshape(q, -1)
+    W = _dft_matrices(ctx) if dense_forward(q) else None
+    scale = 1.0 / q ** (s + 1)
+    for m0 in range(half[0]):
+        if W is not None:
+            vals = (W * G[:, m0]) @ inner
+        else:
+            vals = np.fft.fft(G[:, m0, None] * inner, axis=0)
+        vals *= scale
+        yield m0, vals.reshape((q,) + half[1:])
+
+
 def sphere_spectrum(ctx: FieldContext, s: int, r: int) -> Spectrum:
-    """Stored half of the transform of the sphere S_r's 0/1 grid, by forward_transform.
+    """Stored half of the transform of the sphere S_r's 0/1 grid: row r of sphere_blocks.
 
     The character-sum closed form of the same values is
     charsums.sphere_class_values, one value per norm class.
     """
-    check_grid_cap(ctx, s)
-    grid = (norm_grid(ctx, s) == r % ctx.q).astype(np.float64)
-    return forward_transform(ctx, GridFunction(grid))
+    return Spectrum(np.stack([vals[r % ctx.q] for _, vals in sphere_blocks(ctx, s)]))

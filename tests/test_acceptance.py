@@ -140,14 +140,14 @@ def test_criterion_2_sphere_closed_form():
     sampled = 0.0
     for s in (2, 3):
         # Sampled over the stored half, last-axis indices 0 .. 15.
-        direct = {r: sphere_spectrum(ctx, s, r).values for r in range(31)}
+        spectra = {r: sphere_spectrum(ctx, s, r).values for r in range(31)}
         for _ in range(1000):
             r = int(rng.integers(0, 31))
-            m = np.unravel_index(int(rng.integers(0, direct[r].size)), direct[r].shape)
+            m = np.unravel_index(int(rng.integers(0, spectra[r].size)), spectra[r].shape)
             got = closed_form(ctx, s, r, m)
-            sampled = max(sampled, abs(got - direct[r][m]))
+            sampled = max(sampled, abs(got - spectra[r][m]))
     assert sampled <= 1e-9
-    print(f"\nACCEPTANCE 2 PASS: closed form vs direct, exhaustive q<=13 "
+    print(f"\nACCEPTANCE 2 PASS: closed form vs sphere_spectrum, exhaustive q<=13 "
           f"(worst {worst:.2e}), 1000 samples q=31 per s (worst {sampled:.2e})")
 
 

@@ -15,7 +15,7 @@ import pytest
 
 from ffdist import distance, spectral
 from ffdist.charsums import sphere_class_values
-from ffdist.checks import CHECKERS, check_nu_spectral, check_nu_zero_bound
+from ffdist.checks import CHECKERS, check_nu_spectral, check_nu_zero_bound, check_sphere_bounds
 from ffdist.distance import (
     cross_profile,
     indicator_grid,
@@ -36,6 +36,7 @@ from ffdist.spectral import (
     half_norm_grid,
     inverse_transform,
     norm_grid,
+    sphere_blocks,
     sphere_counts,
     sphere_spectrum,
 )
@@ -59,6 +60,7 @@ GRID_FUNCTIONS = {
     "by_norm": lambda ctx: by_norm(ctx, np.ones((7, 4))),
     "sphere_counts": lambda ctx: sphere_counts(ctx, 2),
     "sphere_set": lambda ctx: generate(ctx, 2, GeneratorSpec("sphere_set", params={"radius": 1})),
+    "sphere_blocks": lambda ctx: list(sphere_blocks(ctx, 2)),
     "sphere_spectrum": lambda ctx: sphere_spectrum(ctx, 2, 1),
     "set_spectrum": lambda ctx: set_spectrum(ctx, E),
     "set_spectra": lambda ctx: set_spectra(ctx, E, F),
@@ -164,6 +166,28 @@ class TestGridCap:
         E1, F1 = random_set(13, 1, 5, 1), random_set(13, 1, 6, 2)
         assert check_nu_zero_bound(make_field(13, grid_cap=13), E1, F1).explicit_pass
 
+    def test_sphere_sum_tables_read_the_cap(self):
+        # At s = 1 the q x q tables G and W of the sphere transforms outgrow the q**s grid.
+        with pytest.raises(CapExceeded, match="sphere-sum table 13 x 13 = 169 "
+                                              "entries exceeds grid cap 168"):
+            check_sphere_bounds(make_field(13, grid_cap=168), 1)
+        assert check_sphere_bounds(make_field(13, grid_cap=169), 1).explicit_pass
+        args = ("verify", "--q", "13", "--s", "1", "--sizeE", "3", "--sizeF", "3",
+                "--lemma", "sphere_bounds")
+        proc = cli(*args, "--cap-grid", "168")
+        assert proc.returncode == 3
+        assert "169 entries exceeds grid cap 168" in proc.stderr
+        proc = cli(*args, "--cap-grid", "169")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["explicit_pass"] is True
+
+    def test_sphere_bounds_at_large_q_and_s_1(self):
+        # 4099**2 = 16801801 table entries are over the default cap; nu_zero runs there.
+        proc = cli("verify", "--q", "4099", "--s", "1", "--sizeE", "100", "--sizeF", "100",
+                   "--lemma", "sphere_bounds")
+        assert proc.returncode == 3
+        assert "4099 x 4099 = 16801801 entries exceeds grid cap 4194304" in proc.stderr
+
     def test_nu_zero_at_large_q_and_s_1(self):
         # At q = 4099 the class-value table would be 4099 x 4098 entries, over the default cap.
         proc = cli("verify", "--q", "4099", "--s", "1", "--sizeE", "100", "--sizeF", "100",
@@ -206,10 +230,12 @@ class TestRealIndicators:
     def test_indicator_grids_are_real(self):
         ctx = make_field(7)
         assert indicator_grid(E).values.dtype == np.float64
-        # forward_transform refuses a complex grid, so sphere_spectrum transforms this real one.
+        # forward_transform refuses a complex grid, so a sphere's direct transform is of
+        # this real one; sphere_spectrum is row r of sphere_blocks and agrees with it.
         sphere = GridFunction((norm_grid(ctx, 2) == 1).astype(np.float64))
-        assert np.array_equal(sphere_spectrum(ctx, 2, 1).values,
-                              forward_transform(ctx, sphere).values)
+        got = sphere_spectrum(ctx, 2, 1).values
+        assert np.array_equal(got, np.stack([vals[1] for _, vals in sphere_blocks(ctx, 2)]))
+        assert np.max(np.abs(got - forward_transform(ctx, sphere).values)) <= 1e-14
 
     @pytest.mark.parametrize("q, s", ((31, 3), (151, 2)))
     def test_real_indicator_transforms_bit_identical(self, q, s):

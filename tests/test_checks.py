@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from ffdist import (
-    Spectrum,
     charsums,
     cross_profile,
     make_point_set,
@@ -409,17 +408,18 @@ def _corrupt_sigma_bound(inst, monkeypatch):
 
 
 def _corrupt_sphere_bounds(inst, monkeypatch):
-    # |Shat_1(m)| at one m != 0 to 1 + 1e-9 times the Weil cap 2 q^(-(s+1)/2)
+    # |Shat_1(m)| at one m != 0, the second stored entry of the first block, to
+    # 1 + 1e-9 times the Weil cap 2 q^(-(s+1)/2)
     q = inst.E.q
-    sphere_spectrum = checks.sphere_spectrum
+    sphere_blocks = checks.sphere_blocks
 
-    def corrupted(ctx, s, r):
-        values = sphere_spectrum(ctx, s, r).values.copy()
-        if r == 1:
-            values.flat[1] = 2 * q ** (-(s + 1) / 2) * (1 + 1e-9)
-        return Spectrum(values)
+    def corrupted(ctx, s):
+        for m0, vals in sphere_blocks(ctx, s):
+            if m0 == 0:
+                vals[1].flat[1] = 2 * q ** (-(s + 1) / 2) * (1 + 1e-9)
+            yield m0, vals
 
-    monkeypatch.setattr(checks, "sphere_spectrum", corrupted)
+    monkeypatch.setattr(checks, "sphere_blocks", corrupted)
     del inst.__dict__["sphere_bounds"]
 
 

@@ -167,15 +167,15 @@ class TestSameReports:
 
 class TestPerField:
     def test_sphere_bounds_runs_once_per_field(self, monkeypatch):
-        calls = counting(monkeypatch, checks, "sphere_spectrum")
+        calls = counting(monkeypatch, checks, "sphere_blocks")
         cfg = SweepConfig(q_list=[5], s_list=[2], size_pairs=[(4, 6)],
                           trials=2, seed=1, checkers=["sphere_bounds"])
         rows = run_verify(cfg)
         assert len(rows) == 2
-        assert len(calls) == 5  # q transforms, not 2q
+        assert len(calls) == 1  # one all-r pass per field, not one per cell
         assert rows[0].report.to_json() == rows[1].report.to_json()
         run_verify(cfg)
-        assert len(calls) == 10  # nothing is kept across calls
+        assert len(calls) == 2  # nothing is kept across calls
 
     def test_each_field_is_built_once(self, monkeypatch):
         calls = counting(monkeypatch, sweep, "make_field")
@@ -197,11 +197,11 @@ class TestPerField:
             assert row.report.to_json() == check_nu_zero_bound(ctx, fresh(E), fresh(F)).to_json()
 
     def test_direct_calls_share_sphere_bounds_across_cells(self, monkeypatch, contexts):
-        calls = counting(monkeypatch, checks, "sphere_spectrum")
+        calls = counting(monkeypatch, checks, "sphere_blocks")
         ctx = contexts[5]
         first = CHECKERS["sphere_bounds"](ctx, random_set(5, 2, 4, 1), random_set(5, 2, 6, 2))
         second = CHECKERS["sphere_bounds"](ctx, random_set(5, 2, 7, 3), random_set(5, 2, 3, 4))
-        assert len(calls) == 5  # q transforms, not 2q
+        assert len(calls) == 1  # one all-r pass, not one per cell
         assert second is first
 
     def test_another_context_or_dimension_recomputes(self, monkeypatch, contexts):

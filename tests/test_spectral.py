@@ -18,7 +18,7 @@ from ffdist.errors import BadGenerator, CapExceeded, FieldMismatch
 from ffdist.charsums import sphere_class_values
 from ffdist.distance import indicator_grid
 from ffdist.generators import GeneratorSpec, generate
-from ffdist.spectral import by_norm, half_norm_grid, norm_grid
+from ffdist.spectral import by_norm, half_norm_grid, norm_grid, sphere_blocks
 
 from conftest import random_set, run_python
 
@@ -351,7 +351,7 @@ class TestSpheres:
 
 
 class TestSphereSpectrum:
-    """The direct transform against the closed form spread over the grid."""
+    """sphere_spectrum, the axis-factored sum, against the closed form spread over the grid."""
 
     @pytest.mark.parametrize("q,s", [(3, 2), (5, 2), (7, 2), (13, 2),
                                      (3, 3), (5, 3), (7, 3), (13, 3)])
@@ -375,6 +375,31 @@ class TestSphereSpectrum:
         d = sphere_spectrum(contexts[7], 2, 3).values
         c = closed_form_spectrum(contexts[7], 2, 3)
         assert np.max(np.abs(d - c)) <= 1e-9
+
+
+class TestSphereBlocks:
+    """Every row of sphere_blocks against the direct transform of the sphere's 0/1 grid."""
+
+    @pytest.mark.parametrize("q,s", [(3, 2), (5, 2), (13, 2), (7, 3), (31, 3), (5, 4), (13, 4),
+                                     (7, 5), (3, 6), (5, 1), (7, 1), (157, 2)])
+    def test_rows_match_the_direct_transform(self, q, s):
+        # At q = 157 > DENSE_MAX_Q the sum over t runs on pocketfft, elsewhere as zgemm.
+        ctx = make_field(q)
+        direct = np.stack([forward_transform(ctx, GridFunction(
+            (norm_grid(ctx, s) == r).astype(np.float64))).values for r in range(q)])
+        m0s = []
+        for m0, vals in sphere_blocks(ctx, s):
+            assert vals.shape == (q,) + direct.shape[2:]
+            assert np.max(np.abs(vals - direct[:, m0])) <= 1e-14
+            m0s.append(m0)
+        assert m0s == list(range(direct.shape[1]))  # every first-axis value of the half
+
+    @pytest.mark.parametrize("q,s", [(7, 1), (7, 3), (157, 2)])
+    def test_sphere_spectrum_is_a_row_of_the_blocks(self, q, s):
+        ctx = make_field(q)
+        for r in (0, 1, q - 1, q + 1):
+            want = np.stack([vals[r % q] for _, vals in sphere_blocks(ctx, s)])
+            assert np.array_equal(sphere_spectrum(ctx, s, r).values, want)
 
 
 class TestDeterminism:

@@ -3,9 +3,10 @@
 The tracer wraps package functions by name (TARGETS, every CHECKERS
 entry) and reads some of their arguments by position; a rename or a
 reordered signature would silently drop spans from the benchmark.  This
-test loads the tracer by path, runs one small traced cell and one
-nu_spectral above DENSE_MAX_Q, and checks that every name it wraps was
-called and that it puts every binding back.
+test loads the tracer by path, runs one small traced cell, one
+sphere_spectrum (no checker calls it: sphere_bounds reads every radius from
+spectral.sphere_blocks) and one nu_spectral above DENSE_MAX_Q, and checks
+that every name it wraps was called and that it puts every binding back.
 """
 
 import importlib.util
@@ -34,6 +35,7 @@ def test_every_traced_name_is_called_and_unwrapped():
     try:
         sweep.run_verify(sweep.SweepConfig(q_list=[5], s_list=[3], size_pairs=[(20, 21)],
                                            trials=1, seed=0, checkers=sorted(CHECKERS)))
+        spectral.sphere_spectrum(make_field(5), 3, 1)
         q = spectral.DENSE_MAX_Q + 6  # 157, on the pocketfft path
         ctx = make_field(q)
         E, F = (generators.generate(ctx, 2, generators.GeneratorSpec(
