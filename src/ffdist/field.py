@@ -23,7 +23,7 @@ from .errors import BadModulus, CapExceeded, ConfigError, FieldMismatch
 DEFAULT_MODULUS_CAP = 2 ** 20
 # Grid cap: q**s entries per dense grid (2**22, 32 MB as float64; a half spectrum
 # takes as much), and q * q per table of sphere_bounds.  It bounds memory, not time:
-# sphere_bounds takes about 4.3 min at q = 2039, s = 2 (1 BLAS thread).
+# sphere_bounds takes about 3.1 min at q = 2039, s = 2 (1 BLAS thread).
 DEFAULT_GRID_CAP = 2 ** 22
 # Pair cap: #E * #F pairs for the nu_brute oracle.
 DEFAULT_PAIR_CAP = 10 ** 9

@@ -33,14 +33,17 @@ as 1[|x|^2 = r] = q^(-1) sum_t e(t (|x|^2 - r)/q),
     Shat_r(m) = q^(-s-1) sum_t e(-t r/q) prod_i G(t, m_i),
     G(t, m)   = sum_x e((t x^2 - m x)/q),
 
-with G one q x q table summed literally over char_table.  sphere_blocks gives
-every r at once, one first-axis value m_0 of the stored half at a time, and
-sphere_spectrum is row r of those blocks.  The sum over t follows the forward
-transform's backend rule, for its reason (a zgemm of contraction length q kept
-its bytes at 1 and 2 BLAS threads only there): at dense_forward(q) one zgemm
-against the cached q x q table per m_0, elsewhere pocketfft's fft over t.  The
-character-sum closed form of the same values is charsums' sphere_class_values
-alone, and a sphere's points are generators' sphere_set.
+with G one q x q table, each row pocketfft's DFT over x of e(t x^2/q): a
+literal sum.  sphere_blocks gives every r at once, one first-axis value m_0 of
+the stored half at a time; at dense_forward(q) the sum over t is one zgemm
+against the cached q x q table per m_0, equal in bytes at 1 and 2 BLAS
+threads there and faster than pocketfft's fft over t (the t-sums of all blocks
+took 3.4 against 7.9 ms at 31^3 and 0.73 against 1.15 s at 101^3, 1 BLAS
+thread, 2-core host); elsewhere it is that fft, whose bytes no BLAS thread
+count moves.  sphere_spectrum takes row r of the same sum alone, one product
+against the weights e(-t r/q).  The character-sum closed form of the same
+values is charsums' sphere_class_values alone, and a sphere's points are
+generators' sphere_set.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ from .field import FieldContext, check_field, check_grid_cap
 
 # Every function here that builds or reads a q**s grid (half_norm_grid, so by_norm
 # too) first checks ctx.grid_cap (field.check_grid_cap); the cached tables stay uncapped,
-# but sphere_blocks counts its q x q tables, G and W, against the cap too.
+# but the sphere sums count their q x q tables, G and W, against the cap too.
 
 # Largest q transformed forward by the dense passes; above it pocketfft runs, and
 # so it does at PAD_MAX < q < DENSE_MAX_Q.
@@ -253,20 +256,26 @@ def sphere_counts(ctx: FieldContext, s: int) -> np.ndarray:
     return np.bincount(norm_grid(ctx, s).ravel(), minlength=ctx.q)
 
 
-def _gauss_table(ctx: FieldContext, s: int) -> np.ndarray:
-    """G[t, m] = sum_x e((t x^2 - m x)/q), summed literally over char_table, t rows at a time.
+def _sphere_factors(ctx: FieldContext, s: int) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+    """(G, inner, half) of the axis-factored sphere sum, both tables against the grid cap.
 
-    A block of t rows gathers rows * q * q characters, at most max(q**s, q*q).
+    G[t, m] = sum_x e((t x^2 - m x)/q): row t is pocketfft's DFT over x of
+    e(t x^2/q), a literal sum.  inner[t, j] = prod_{i >= 1} G(t, m_i) over the
+    tails (m_1, ..., m_{s-1}) of the stored half in C order, one column at s = 1.
+    half is the stored half's shape.
     """
     q = ctx.q
+    check_grid_cap(ctx, s)
+    if q * q > ctx.grid_cap:  # G and W, which outgrow the q**s grid at s = 1
+        raise CapExceeded(f"sphere-sum table {q} x {q} = {q * q} entries "
+                          f"exceeds grid cap {ctx.grid_cap}")
+    half = (q,) * (s - 1) + ((q + 1) // 2,)
     x = np.arange(q, dtype=np.int64)
-    mx = np.outer(x, x) % q  # mx[m, x] = m x mod q
-    rows = max(1, q ** s // (q * q))
-    G = np.empty((q, q), dtype=np.complex128)
-    for lo in range(0, q, rows):
-        t = x[lo:lo + rows, None, None]
-        G[lo:lo + rows] = ctx.char_table[(t * (x * x % q) - mx) % q].sum(axis=2)
-    return G
+    G = np.fft.fft(ctx.char_table[np.outer(x, x * x % q) % q], axis=1)
+    inner = np.ones((q, 1), dtype=np.complex128)
+    for n in half[1:]:
+        inner = (inner[:, :, None] * G[:, None, :n]).reshape(q, -1)
+    return G, inner, half
 
 
 def sphere_blocks(ctx: FieldContext, s: int) -> Iterator[tuple[int, np.ndarray]]:
@@ -277,15 +286,7 @@ def sphere_blocks(ctx: FieldContext, s: int) -> Iterator[tuple[int, np.ndarray]]
     at most q**s entries; each block is computed as it is drawn.
     """
     q = ctx.q
-    check_grid_cap(ctx, s)
-    if q * q > ctx.grid_cap:  # G and W, which outgrow the q**s grid at s = 1
-        raise CapExceeded(f"sphere-sum table {q} x {q} = {q * q} entries "
-                          f"exceeds grid cap {ctx.grid_cap}")
-    half = (q,) * (s - 1) + ((q + 1) // 2,)
-    G = _gauss_table(ctx, s)
-    inner = np.ones((q, 1), dtype=np.complex128)  # inner[t, .] = prod_{i >= 1} G(t, m_i)
-    for n in half[1:]:
-        inner = (inner[:, :, None] * G[:, None, :n]).reshape(q, -1)
+    G, inner, half = _sphere_factors(ctx, s)
     W = _dft_matrices(ctx) if dense_forward(q) else None
     scale = 1.0 / q ** (s + 1)
     for m0 in range(half[0]):
@@ -298,9 +299,15 @@ def sphere_blocks(ctx: FieldContext, s: int) -> Iterator[tuple[int, np.ndarray]]
 
 
 def sphere_spectrum(ctx: FieldContext, s: int, r: int) -> Spectrum:
-    """Stored half of the transform of the sphere S_r's 0/1 grid: row r of sphere_blocks.
+    """Stored half of the transform of the sphere S_r's 0/1 grid: row r of sphere_blocks' sum.
 
+    One product over t against the single weight row e(-t r/q), whatever q.
     The character-sum closed form of the same values is
     charsums.sphere_class_values, one value per norm class.
     """
-    return Spectrum(np.stack([vals[r % ctx.q] for _, vals in sphere_blocks(ctx, s)]))
+    q = ctx.q
+    G, inner, half = _sphere_factors(ctx, s)
+    weight = ctx.char_table[(-r * np.arange(q, dtype=np.int64)) % q]  # e(-t r/q)
+    vals = (weight[:, None] * G[:, :half[0]]).T @ inner
+    vals *= 1.0 / q ** (s + 1)
+    return Spectrum(vals.reshape(half))

@@ -7,7 +7,7 @@ output means regenerating them with the same commands:
 
     PYTHONPATH=src python tests/test_golden.py
 
-rewrites every file from RUNS.  Two more tests check that a sweep gives
+rewrites every file from RUNS.  A fourth test checks that a sweep gives
 the same bytes at one and two BLAS threads on both transform backends.
 """
 
@@ -48,9 +48,15 @@ def test_output_matches_golden_bytes(name, tmp_path):
     assert output(name, tmp_path) == (GOLDEN / name).read_bytes()
 
 
-@pytest.mark.parametrize("q,s", (pytest.param(131, 2, id="131"), pytest.param(151, 2, id="151"),
-                                 pytest.param(257, 2, id="257"), pytest.param(151, 3, id="151-s3")))
-def test_sweep_bytes_do_not_depend_on_blas_threads(tmp_path, q, s):
+@pytest.mark.parametrize("q,s,lemma,sizes", (
+    pytest.param(131, 2, "cross_zero,sigma_bound", "200x300", id="131"),
+    pytest.param(151, 2, "cross_zero,sigma_bound", "200x300", id="151"),
+    pytest.param(257, 2, "cross_zero,sigma_bound", "200x300", id="257"),
+    pytest.param(151, 3, "cross_zero,sigma_bound", "200x300", id="151-s3"),
+    pytest.param(31, 3, "sphere_bounds", "20x30", id="sphere-31-s3"),
+    pytest.param(151, 2, "sphere_bounds", "20x30", id="sphere-151"),
+    pytest.param(157, 2, "sphere_bounds", "20x30", id="sphere-157")))
+def test_sweep_bytes_do_not_depend_on_blas_threads(tmp_path, q, s, lemma, sizes):
     # q = 151 is the largest q on the dense BLAS passes (spectral.DENSE_MAX_Q)
     # and q = 131 and 257 transform on pocketfft; at one and two threads dense
     # passes gave different sigma_bound bytes at q = 131, and different
@@ -58,32 +64,17 @@ def test_sweep_bytes_do_not_depend_on_blas_threads(tmp_path, q, s):
     # 151^3 these sets leave most last-axis lines empty, so the later passes
     # run as batched matmuls over padded groups of occupied lines; one of
     # them groups 132 lines, a contraction length that BLAS blocks by thread
-    # count unless the pass pads it to q.
-    args = ["sweep", "--q", str(q), "--s", str(s), "--sizes", "200x300", "--trials", "2",
-            "--seed", "5", "--lemma", "cross_zero,sigma_bound"]
-    one, two = sweep_at_one_and_two_threads(args, tmp_path)
-    assert one == two
-
-
-@pytest.mark.parametrize("q,s", (pytest.param(31, 3, id="31-s3"), pytest.param(151, 2, id="151"),
-                                 pytest.param(157, 2, id="157")))
-def test_sphere_bounds_bytes_do_not_depend_on_blas_threads(tmp_path, q, s):
-    # sphere_bounds takes its sum over t as one zgemm per first-axis value at
-    # q = 31 and 151 (spectral.dense_forward), and as pocketfft's fft at q = 157.
-    args = ["sweep", "--q", str(q), "--s", str(s), "--sizes", "20x30", "--trials", "1",
-            "--seed", "1", "--lemma", "sphere_bounds"]
-    one, two = sweep_at_one_and_two_threads(args, tmp_path)
-    assert one == two
-
-
-def sweep_at_one_and_two_threads(args, tmp_path):
-    """The CSV bytes of `args --out sweep.csv` at OPENBLAS_NUM_THREADS 1 and 2."""
+    # count unless the pass pads it to q.  sphere_bounds takes its sum over t
+    # as one zgemm per first-axis value at q = 31 and 151 and as pocketfft's
+    # fft at q = 157.
     outputs = []
     for threads in ("1", "2"):
         (tmp_path / threads).mkdir()
-        run_cli([*args, "--out", "sweep.csv"], tmp_path / threads, OPENBLAS_NUM_THREADS=threads)
+        run_cli(["sweep", "--q", str(q), "--s", str(s), "--sizes", sizes, "--trials", "2",
+                 "--seed", "5", "--lemma", lemma, "--out", "sweep.csv"],
+                tmp_path / threads, OPENBLAS_NUM_THREADS=threads)
         outputs.append((tmp_path / threads / "sweep.csv").read_bytes())
-    return outputs
+    assert outputs[0] == outputs[1]
 
 
 def regenerate():
