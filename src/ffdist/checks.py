@@ -77,11 +77,9 @@ class Instance:
         self.ctx, self.E, self.F = ctx, E, F
 
     spectra = cached_property(lambda self: set_spectra(self.ctx, self.E, self.F))
-    ehat = property(lambda self: self.spectra[0])
-    fhat = property(lambda self: self.spectra[1])
-    sig_e = cached_property(lambda self: spherical_profile(self.ctx, self.ehat))
-    sig_f = cached_property(lambda self: spherical_profile(self.ctx, self.fhat))
-    sig_ef = cached_property(lambda self: cross_profile(self.ctx, self.ehat, self.fhat))
+    sig_e = cached_property(lambda self: spherical_profile(self.ctx, self.spectra[0]))
+    sig_f = cached_property(lambda self: spherical_profile(self.ctx, self.spectra[1]))
+    sig_ef = cached_property(lambda self: cross_profile(self.ctx, *self.spectra))
     brute = cached_property(lambda self: nu_brute(self.E, self.F, pair_cap=self.ctx.pair_cap))
     spectral = cached_property(lambda self: nu_spectral(self.ctx, self.E, self.F,
                                                         cross=self.sig_ef))

@@ -37,13 +37,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import charsums
-from .errors import (
-    CapExceeded,
-    DuplicatePoint,
-    FieldMismatch,
-    RoundingDrift,
-    UnindexableSpace,
-)
+from .errors import CapExceeded, ConfigError, DuplicatePoint, FieldMismatch, RoundingDrift
 from .field import DEFAULT_PAIR_CAP, FieldContext, check_field, check_grid_cap
 from .spectral import (
     GridFunction,
@@ -93,17 +87,17 @@ class PointSet:
 
 
 def check_indexable(q: int, s: int) -> None:
-    """Raise UnindexableSpace unless s >= 1 and every point of F_q^s has an int64 radix index."""
+    """Raise ConfigError unless s >= 1 and every point of F_q^s has an int64 radix index."""
     if s < 1:
-        raise UnindexableSpace(f"dimension s = {s} must be >= 1")
+        raise ConfigError(f"dimension s = {s} must be >= 1")
     if q ** s > 2 ** 63 - 1:
-        raise UnindexableSpace(f"q**s = {q}**{s} exceeds the int64 radix index range 2**63 - 1")
+        raise ConfigError(f"q**s = {q}**{s} exceeds the int64 radix index range 2**63 - 1")
 
 
 def make_point_set(q: int, s: int, points: Iterable[Sequence[int]]) -> PointSet:
     """Build a PointSet, reducing integer coordinates mod q and rejecting duplicates.
 
-    Like generate and read_pointset it raises UnindexableSpace for an s or
+    Like generate and read_pointset it raises ConfigError for an s or
     q**s past the radix indices; a malformed list raises ValueError.
     """
     check_indexable(q, s)
@@ -114,7 +108,7 @@ def make_point_set(q: int, s: int, points: Iterable[Sequence[int]]) -> PointSet:
         raise ValueError(f"points must be {s}-tuples")
     if pts.dtype.kind not in "iu":
         raise ValueError(f"coordinates must be int64-range integers, not {pts.dtype}")
-    return sorted_point_set(q, s, np.ravel_multi_index((pts.astype(np.int64) % q).T, (q,) * s))
+    return sorted_point_set(q, s, np.ravel_multi_index((pts % q).astype(np.int64).T, (q,) * s))
 
 
 def sorted_point_set(q: int, s: int, idx: np.ndarray) -> PointSet:
@@ -181,12 +175,8 @@ def set_spectra(ctx: FieldContext, E: PointSet, F: PointSet) -> tuple[Spectrum, 
     g.reshape(-1).real[E.radix_indices()] = 1.0
     g.reshape(-1).imag[F.radix_indices()] = 1.0
     np.fft.fftn(g, out=g)
-    # conj G(-m) on the stored half: on the last axis -m is q - m, read from the other
-    # half; reversing every other axis takes m to q - 1 - m, and a roll by one to -m.
-    h = (q + 1) // 2
-    flip = (slice(None, None, -1),) * (s - 1)
-    neg = np.concatenate((g[..., :1], g[..., :h - 1:-1]), axis=-1)[flip]
-    neg = np.roll(neg, (1,) * (s - 1), axis=tuple(range(s - 1)))
+    h, minus = (q + 1) // 2, -np.arange(q) % q
+    neg = g[np.ix_(*[minus] * (s - 1), minus[:h])]  # G(-m) on the stored half
     np.conj(neg, out=neg)
     half, scale = g[..., :h], 0.5 / q ** s
     ehat = half + neg

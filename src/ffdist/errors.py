@@ -25,7 +25,7 @@ class CapExceeded(FFDistError):
 # --- configuration ----------------------------------------------------------
 
 class ConfigError(FFDistError):
-    """Invalid field, sweep or verify configuration (CLI exit code 2)."""
+    """Invalid field, sweep or verify configuration, or F_q^s past int64 radix indices (exit 2)."""
 
 
 # --- set / distribution contracts -------------------------------------------
@@ -55,6 +55,3 @@ class DuplicatePoint(FFDistError):
         super().__init__(message)
         self.row = row
 
-
-class UnindexableSpace(FFDistError):
-    """F_q^s has s < 1 or more than 2**63 - 1 points, past int64 radix indices."""

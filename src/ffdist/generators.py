@@ -5,7 +5,8 @@ on a counter-based Philox stream keyed by spec.seed, which must lie in
 [0, 2**128), so identical specs reproduce identical sets with no global
 state.  A sampled size must lie in [1, support], a product_interval box
 over ctx.grid_cap points is refused before it is built, and a spec that
-sets a size or a params key its kind does not read (READS) is refused.
+sets a size or a params key its kind does not read (READS) is refused, as
+is a bool or float size, seed, radius or side length: none is truncated.
 A coordinate subspace F_q^k x {0} is the box with sides [q]*k + [1]*(s-k).
 """
 
@@ -42,6 +43,13 @@ class GeneratorSpec:
     params: dict[str, Any] = field(default_factory=dict)
 
 
+def _integer(value: Any, what: str) -> int:
+    """value as an int; a bool, a float or another non-integer raises BadGenerator."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise BadGenerator(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _choose(spec: GeneratorSpec, n: int, support: str) -> np.ndarray:
     """spec.size distinct indices of range(n) from the Philox stream keyed by spec.seed."""
     if spec.size is None or spec.size < 1:
@@ -65,6 +73,9 @@ def generate(ctx: FieldContext, s: int, spec: GeneratorSpec) -> PointSet:
         + sorted(set(spec.params) - set(keys))
     if unread:
         raise BadGenerator(f"kind {spec.kind} does not read {', '.join(unread)}")
+    _integer(spec.seed, "seed")
+    if spec.size is not None:
+        _integer(spec.size, "size")
 
     if spec.kind == "uniform_random":
         return sorted_point_set(q, s, _choose(spec, q ** s, f"q**s = {q ** s}"))
@@ -80,7 +91,7 @@ def generate(ctx: FieldContext, s: int, spec: GeneratorSpec) -> PointSet:
         return sorted_point_set(q, 2, x * q + (i * x) % q)
 
     if spec.kind == "sphere_set":
-        r = int(spec.params.get("radius", 1))
+        r = _integer(spec.params.get("radius", 1), "radius")
         check_grid_cap(ctx, s)
         idx = np.flatnonzero(norm_grid(ctx, s).ravel() == r % q)  # S_r in radix order
         if idx.size == 0:
@@ -90,7 +101,7 @@ def generate(ctx: FieldContext, s: int, spec: GeneratorSpec) -> PointSet:
         return sorted_point_set(q, s, idx)
 
     if spec.kind == "product_interval":
-        lengths = [int(v) for v in spec.params.get("lengths", [])]
+        lengths = [_integer(v, "side length") for v in spec.params.get("lengths", [])]
         if len(lengths) != s or any(not 1 <= v <= q for v in lengths):
             raise BadGenerator(f"product_interval needs {s} side lengths in [1, {q}]")
         count = math.prod(lengths)  # of the box [0, l_1) x ... x [0, l_s)

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .distance import PointSet, check_indexable, sorted_point_set
-from .errors import DuplicatePoint, ParseError, UnindexableSpace
+from .errors import ConfigError, DuplicatePoint, ParseError
 
 
 def read_pointset(path) -> PointSet:
@@ -30,7 +30,7 @@ def read_pointset(path) -> PointSet:
         raise ParseError(f"{path}:1: need q >= 3, s >= 1, n >= 1")
     try:
         check_indexable(q, s)
-    except UnindexableSpace as exc:
+    except ConfigError as exc:
         raise ParseError(f"{path}:1: {exc}") from None
     if len(lines) < n + 1:
         raise ParseError(f"{path}: expected {n} point lines, found {len(lines) - 1}")

@@ -99,8 +99,8 @@ class Spectrum:
 
     values has shape (q,)*(s-1) + ((q+1)//2,): last-axis indices 0 .. (q-1)/2
     of fhat; fhat(-m) = conj(fhat(m)) gives the rest, and q and s are read off
-    that shape.  A separate type, so a spectrum cannot be fed back into
-    forward_transform by accident.
+    that shape.  Fed back into forward_transform, a spectrum is refused as a
+    complex grid.
     """
 
     values: np.ndarray
@@ -216,8 +216,6 @@ def dense_forward(q: int) -> bool:
 
 def forward_transform(ctx: FieldContext, f: GridFunction) -> Spectrum:
     """fhat(x) = q^(-s) sum_m e(-m.x/q) f(m) on the stored half, axis-factored."""
-    if isinstance(f, Spectrum):
-        raise TypeError("input is already a Spectrum; refusing a double transform")
     if np.iscomplexobj(f.values):
         raise TypeError("input grid is complex; a Spectrum stores half of a real grid's transform")
     check_field(ctx, "grid", f.q)
@@ -242,8 +240,6 @@ def check_spectrum(ctx: FieldContext, F: Spectrum) -> None:
 
 def inverse_transform(ctx: FieldContext, F: Spectrum) -> GridFunction:
     """f(x) = sum_m e(+m.x/q) fhat(m); exact inverse of forward_transform."""
-    if isinstance(F, GridFunction):
-        raise TypeError("input is a space-domain GridFunction, not a Spectrum")
     check_spectrum(ctx, F)
     check_grid_cap(ctx, F.s)
     # norm="forward" leaves the inverse sum unscaled.

@@ -22,12 +22,7 @@ from ffdist import (
     spectral,
     spherical_profile,
 )
-from ffdist.errors import (
-    CapExceeded,
-    DuplicatePoint,
-    FieldMismatch,
-    UnindexableSpace,
-)
+from ffdist.errors import CapExceeded, ConfigError, DuplicatePoint, FieldMismatch
 from conftest import random_set
 
 TWO_POINTS = [(0, 0), (1, 0)]
@@ -92,16 +87,21 @@ class TestPointSet:
             make_point_set(3, 2, points)
 
     def test_refuses_a_space_past_the_radix_indices(self):
-        with pytest.raises(UnindexableSpace, match=r"3\*\*41 exceeds the int64"):
+        with pytest.raises(ConfigError, match=r"3\*\*41 exceeds the int64"):
             make_point_set(3, 41, [[0] * 41])
 
     def test_refuses_dimension_0(self):
-        with pytest.raises(UnindexableSpace, match="dimension s = 0 must be >= 1"):
+        with pytest.raises(ConfigError, match="dimension s = 0 must be >= 1"):
             make_point_set(3, 0, [()])
 
     def test_refuses_non_integer_coordinates(self):
         with pytest.raises(ValueError, match="must be int64-range integers, not float64"):
             make_point_set(7, 2, [(1.5, 2)])
+
+    @pytest.mark.parametrize("coord", [2 ** 63, 2 ** 64 - 1])
+    def test_reduces_uint64_coordinates_before_the_int64_cast(self, coord):
+        # Both lists read as uint64 arrays; cast to int64 first, they would wrap negative.
+        assert make_point_set(7, 1, [[coord]]).points.tolist() == [[coord % 7]]
 
 
 class TestSetSpectrum:

@@ -1,4 +1,4 @@
-"""Byte-for-byte regression: three CLI runs against committed golden outputs.
+"""Byte-for-byte regression: five CLI runs against committed golden outputs.
 
 The files under data/golden/ are the outputs of the commands below.  The
 runs set no BLAS thread variable: at these sizes the bytes agreed at one
@@ -7,8 +7,11 @@ output means regenerating them with the same commands:
 
     PYTHONPATH=src python tests/test_golden.py
 
-rewrites every file from RUNS.  A fourth test checks that a sweep gives
-the same bytes at one and two BLAS threads on both transform backends.
+rewrites every file from RUNS.  Two of the runs are at pocketfft q (131 and
+157), where set_spectra splits one complex transform into both spectra, so
+their bytes pin that split.  A second test checks that a sweep gives the
+same bytes at one and two BLAS threads, in seven cases on both transform
+backends.
 """
 
 import tempfile
@@ -25,6 +28,17 @@ RUNS = {
                      "--trials", "2", "--seed", "5", "--out", "sweep_s2.csv"],
     "sweep_s3.csv": ["sweep", "--q", "5,7,13", "--s", "3", "--sizes", "20x30,120x100",
                      "--trials", "2", "--seed", "5", "--out", "sweep_s3.csv"],
+    # q = 131 and 157 transform on pocketfft (spectral.dense_forward), where
+    # distance.set_spectra splits one complex transform into both spectra.
+    "sweep_pocketfft_s2.csv": ["sweep", "--q", "131,157", "--s", "2",
+                               "--sizes", "200x300,2000x1500", "--trials", "2",
+                               "--seed", "5", "--out", "sweep_pocketfft_s2.csv"],
+    "sweep_pocketfft_s3.csv": ["sweep", "--q", "131", "--s", "3", "--sizes", "200x300",
+                               "--trials", "2", "--seed", "5", "--lemma",
+                               "cross_zero,distance_theorem,dyadic,nu_spectral,nu_zero,"
+                               "offzero_moment,profile_mass,profile_product,"
+                               "second_moment,sigma_bound",
+                               "--out", "sweep_pocketfft_s3.csv"],
     "verify_q31_s3.json": ["verify", "--q", "31", "--s", "3", "--sizeE", "2000",
                            "--sizeF", "2010"],
 }

@@ -140,6 +140,28 @@ class TestGenerators:
             assert generate(contexts[5], 2, GeneratorSpec("uniform_random", size=3,
                                                           seed=seed)).size == 3
 
+    @pytest.mark.parametrize("spec, what", [
+        (GeneratorSpec("uniform_random", size=3, seed=1.5), "seed"),
+        (GeneratorSpec("uniform_random", size=3, seed=True), "seed"),
+        (GeneratorSpec("uniform_random", size=2.5), "size"),
+        (GeneratorSpec("uniform_random", size=True), "size"),
+        (GeneratorSpec("sphere_set", params={"radius": 2.9}), "radius"),
+        (GeneratorSpec("product_interval", params={"lengths": [2.7, 3]}), "side length"),
+        (GeneratorSpec("product_interval", params={"lengths": [True, 3]}), "side length"),
+    ], ids=["seed-float", "seed-bool", "size-float", "size-bool", "radius-float",
+            "length-float", "length-bool"])
+    def test_refuses_a_non_integer_value(self, contexts, spec, what):
+        # Refused, not truncated: seed 1.5 would give seed 1's set, radius 2.9 sphere 2.
+        with pytest.raises(BadGenerator, match=f"{what} must be an integer"):
+            generate(contexts[5], 2, spec)
+
+    def test_numpy_integer_values_are_accepted(self, contexts):
+        as_numpy = GeneratorSpec("sphere_set", size=np.int64(3), seed=np.uint64(2),
+                                 params={"radius": np.int32(2)})
+        as_int = GeneratorSpec("sphere_set", size=3, seed=2, params={"radius": 2})
+        assert np.array_equal(generate(contexts[5], 2, as_numpy).points,
+                              generate(contexts[5], 2, as_int).points)
+
     def test_unknown_kind(self, contexts):
         with pytest.raises(BadGenerator):
             generate(contexts[5], 2, GeneratorSpec("mystery"))

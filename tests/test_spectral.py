@@ -118,7 +118,7 @@ class TestForwardTransform:
 
     def test_rejects_spectrum_input(self, contexts):
         F = forward_transform(contexts[3], random_grid(3, 2, 0))
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match="complex"):
             forward_transform(contexts[3], F)
 
     def test_grid_cap(self):
@@ -270,7 +270,8 @@ class TestInverseTransform:
         assert np.allclose(g.values, 1.0, atol=1e-12)
 
     def test_rejects_grid_input(self, contexts):
-        with pytest.raises(TypeError):
+        # A (3, 3) grid is not the stored half (3, 2) of a spectrum over q = 3.
+        with pytest.raises(FieldMismatch, match=r"has shape \(3, 3\), expected \(3, 2\)"):
             inverse_transform(contexts[3], random_grid(3, 2, 0))
 
     def test_refuses_a_spectrum_over_another_field(self, contexts, monkeypatch):
