@@ -38,7 +38,7 @@ import numpy as np
 
 from . import charsums
 from .errors import CapExceeded, ConfigError, DuplicatePoint, FieldMismatch, RoundingDrift
-from .field import DEFAULT_PAIR_CAP, FieldContext, check_field, check_grid_cap
+from .field import DEFAULT_PAIR_CAP, FieldContext, as_integer, check_field, check_grid_cap
 from .spectral import (
     GridFunction,
     Spectrum,
@@ -87,7 +87,9 @@ class PointSet:
 
 
 def check_indexable(q: int, s: int) -> None:
-    """Raise ConfigError unless s >= 1 and every point of F_q^s has an int64 radix index."""
+    """Raise ConfigError unless q and s are integers, s >= 1, and every point of F_q^s has
+    an int64 radix index (a numpy q is read as an int, so q**s cannot wrap)."""
+    q, s = as_integer(q, "q"), as_integer(s, "s")
     if s < 1:
         raise ConfigError(f"dimension s = {s} must be >= 1")
     if q ** s > 2 ** 63 - 1:
@@ -98,16 +100,20 @@ def make_point_set(q: int, s: int, points: Iterable[Sequence[int]]) -> PointSet:
     """Build a PointSet, reducing integer coordinates mod q and rejecting duplicates.
 
     Like generate and read_pointset it raises ConfigError for an s or
-    q**s past the radix indices; a malformed list raises ValueError.
+    q**s past the radix indices, and so it does for an empty, ragged or
+    non-integer list.
     """
     check_indexable(q, s)
-    pts = np.asarray(list(points))
+    try:
+        pts = np.asarray(list(points))
+    except ValueError:  # numpy refuses a ragged list
+        raise ConfigError(f"points must be {s}-tuples") from None
     if pts.size == 0:
-        raise ValueError("a point set must contain at least one point")
+        raise ConfigError("a point set must contain at least one point")
     if pts.ndim != 2 or pts.shape[1] != s:
-        raise ValueError(f"points must be {s}-tuples")
-    if pts.dtype.kind not in "iu":
-        raise ValueError(f"coordinates must be int64-range integers, not {pts.dtype}")
+        raise ConfigError(f"points must be {s}-tuples")
+    if pts.dtype.kind not in "iu":  # numpy reads -1 with 2**63 as float64
+        raise ConfigError("coordinates must be integers in the int64 range [-2**63, 2**63)")
     return sorted_point_set(q, s, np.ravel_multi_index((pts % q).astype(np.int64).T, (q,) * s))
 
 

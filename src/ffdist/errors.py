@@ -1,19 +1,14 @@
 """Exception types shared across the package.
 
 Every error raised by ffdist derives from FFDistError, so callers can
-catch the whole family at once.  Every cap violation is one CapExceeded,
-which the CLI maps to its own exit code.
+catch the whole family at once.  One kind of refusal is one class: every
+bad request is one ConfigError (CLI exit 2), every cap violation one
+CapExceeded (exit 3).
 """
 
 
 class FFDistError(Exception):
     """Base class for all package errors."""
-
-
-# --- modulus validation -----------------------------------------------------
-
-class BadModulus(FFDistError):
-    """q is not an odd prime in [3, 2**20]; the message says which test failed."""
 
 
 # --- resource caps ----------------------------------------------------------
@@ -25,7 +20,8 @@ class CapExceeded(FFDistError):
 # --- configuration ----------------------------------------------------------
 
 class ConfigError(FFDistError):
-    """Invalid field, sweep or verify configuration, or F_q^s past int64 radix indices (exit 2)."""
+    """A bad request (exit 2): q not an odd prime in [3, 2**20], a non-integer value, a spec,
+    size or point list its contract refuses, or F_q^s past int64 radix indices."""
 
 
 # --- set / distribution contracts -------------------------------------------
@@ -38,11 +34,7 @@ class RoundingDrift(FFDistError):
     """Spectral counts too far from integers; precision lost."""
 
 
-# --- generators and file I/O ------------------------------------------------
-
-class BadGenerator(FFDistError):
-    """Generator spec violates its preconditions, a size outside [1, support] included."""
-
+# --- file I/O ---------------------------------------------------------------
 
 class ParseError(FFDistError):
     """Malformed point-set file, out-of-range values included; message carries the line number."""
@@ -54,4 +46,3 @@ class DuplicatePoint(FFDistError):
     def __init__(self, message: str, row: int | None = None):
         super().__init__(message)
         self.row = row
-

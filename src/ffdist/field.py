@@ -13,11 +13,11 @@ yields bit-identical complex values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Optional
 
 import numpy as np
 
-from .errors import BadModulus, CapExceeded, ConfigError, FieldMismatch
+from .errors import CapExceeded, ConfigError, FieldMismatch
 
 # Table memory cap: q complex values per context.
 DEFAULT_MODULUS_CAP = 2 ** 20
@@ -63,27 +63,35 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def as_integer(value: Any, what: str) -> int:
+    """value as an int; a bool, a float or another non-integer raises ConfigError, so no
+    configuration value is truncated (7.9 is not read as 7, nor True as 1)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def make_field(q: int, grid_cap: int = DEFAULT_GRID_CAP,
                pair_cap: int = DEFAULT_PAIR_CAP) -> FieldContext:
     """Validate q and build the inverse / quadratic-character / character tables.
 
     grid_cap and pair_cap are stored on the context for every computation
-    that runs on it; a negative cap raises ConfigError (0 is legal and
-    refuses every grid or pair pass).  Raises BadModulus, naming the failed
-    test, when q is not an odd prime in [3, DEFAULT_MODULUS_CAP].
+    that runs on it; 0 is legal and refuses every grid or pair pass.  Raises
+    ConfigError for a non-integer q or cap, a negative cap, or, naming the
+    failed test, a q that is not an odd prime in [3, DEFAULT_MODULUS_CAP].
     """
     for name, cap in (("grid_cap", grid_cap), ("pair_cap", pair_cap)):
-        if cap < 0:
+        if as_integer(cap, name) < 0:
             raise ConfigError(f"{name} = {cap} must be >= 0")
-    q = int(q)
+    q = as_integer(q, "q")
     if q < 3:
-        raise BadModulus(f"q = {q} < 3")
+        raise ConfigError(f"q = {q} < 3")
     if q % 2 == 0:
-        raise BadModulus(f"q = {q} is even")
+        raise ConfigError(f"q = {q} is even")
     if q > DEFAULT_MODULUS_CAP:
-        raise BadModulus(f"q = {q} exceeds cap {DEFAULT_MODULUS_CAP}")
+        raise ConfigError(f"q = {q} exceeds cap {DEFAULT_MODULUS_CAP}")
     if not _is_prime(q):
-        raise BadModulus(f"q = {q} is not prime")
+        raise ConfigError(f"q = {q} is not prime")
 
     # inv[a] via the O(q) recurrence inv[a] = -(q//a) * inv[q%a] mod q.
     inv = np.zeros(q, dtype=np.int64)

@@ -22,9 +22,10 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .checks import CHECKERS, LemmaReport, release
-from .distance import DEFAULT_RESIDUAL_TOL, PointSet, nu_brute, nu_spectral
-from .errors import CapExceeded, ConfigError, FFDistError
-from .field import DEFAULT_GRID_CAP, DEFAULT_PAIR_CAP, FieldContext, check_grid_cap, make_field
+from .distance import DEFAULT_RESIDUAL_TOL, PointSet, check_indexable, nu_brute, nu_spectral
+from .errors import CapExceeded, ConfigError
+from .field import (DEFAULT_GRID_CAP, DEFAULT_PAIR_CAP, FieldContext, as_integer, check_grid_cap,
+                    make_field)
 from .generators import GeneratorSpec, generate
 
 CSV_HEADER = ("lemma_id,q,s,sizeE,sizeF,trial,seed,"
@@ -70,9 +71,11 @@ def cell_sets(ctx: FieldContext, s: int, sizes: tuple[int, int], seed: int,
 
 def validate_config(cfg: SweepConfig) -> dict[int, FieldContext]:
     """Raise ConfigError (or CapExceeded) on a bad config; else the contexts by q,
-    each carrying cfg.grid_cap and cfg.pair_cap to every checker."""
-    if cfg.trials < 1:
+    each carrying cfg.grid_cap and cfg.pair_cap to every checker.  A bad q, s or
+    non-integer value is refused in make_field's, check_indexable's or as_integer's words."""
+    if as_integer(cfg.trials, "trials") < 1:
         raise ConfigError("trials must be >= 1")
+    as_integer(cfg.seed, "seed")
     for name, entries in (("q_list", cfg.q_list), ("s_list", cfg.s_list),
                           ("size_pairs", cfg.size_pairs), ("checkers", cfg.checkers)):
         if not entries:
@@ -85,21 +88,14 @@ def validate_config(cfg: SweepConfig) -> dict[int, FieldContext]:
             raise ConfigError(
                 f"unknown checker {name!r}; known: {', '.join(sorted(CHECKERS))}"
             )
-    contexts = {}
-    for q in cfg.q_list:
-        try:
-            contexts[q] = make_field(q, grid_cap=cfg.grid_cap, pair_cap=cfg.pair_cap)
-        except ConfigError:  # a bad cap is not the fault of this q
-            raise
-        except FFDistError as exc:
-            raise ConfigError(f"q_list entry {q}: {exc}") from None
+    contexts = {q: make_field(q, grid_cap=cfg.grid_cap, pair_cap=cfg.pair_cap)
+                for q in cfg.q_list}
     for s in cfg.s_list:
-        if s < 1:
-            raise ConfigError(f"s_list entry {s}: dimension must be >= 1")
         for ctx in contexts.values():
+            check_indexable(ctx.q, s)
             check_grid_cap(ctx, s)
     for ne, nf in cfg.size_pairs:
-        if ne < 1 or nf < 1:
+        if as_integer(ne, "sizeE") < 1 or as_integer(nf, "sizeF") < 1:
             raise ConfigError(f"size pair ({ne}, {nf}): sizes must be >= 1")
         for q in cfg.q_list:
             for s in cfg.s_list:
@@ -165,8 +161,9 @@ def run_bench(q: int, s: int, sizeE: int, sizeF: int, repetitions: int = 5,
     spectral result is self-checked against the mass identity
     sum_j nu(j) = #E #F (degraded mode, noted in the report).
     """
-    if repetitions < 1:
+    if as_integer(repetitions, "repetitions") < 1:
         raise ConfigError("repetitions must be >= 1")
+    as_integer(seed, "seed")
     ctx = make_field(q, grid_cap=grid_cap, pair_cap=pair_cap)
     E, F = cell_sets(ctx, s, (sizeE, sizeF), seed, 0)
 

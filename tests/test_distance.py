@@ -78,13 +78,18 @@ class TestPointSet:
         assert info.value.row == n - 6
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="at least one point"):
             make_point_set(3, 2, [])
 
     @pytest.mark.parametrize("points", [[(0, 1, 2)], [(0,)], [0, 1]])
     def test_points_must_be_s_tuples(self, points):
-        with pytest.raises(ValueError, match="points must be 2-tuples"):
+        with pytest.raises(ConfigError, match="points must be 2-tuples"):
             make_point_set(3, 2, points)
+
+    def test_ragged_list_is_a_config_error(self):
+        # numpy refuses a ragged list with its own ValueError.
+        with pytest.raises(ConfigError, match="points must be 2-tuples"):
+            make_point_set(3, 2, [(0, 1), (2,)])
 
     def test_refuses_a_space_past_the_radix_indices(self):
         with pytest.raises(ConfigError, match=r"3\*\*41 exceeds the int64"):
@@ -95,8 +100,25 @@ class TestPointSet:
             make_point_set(3, 0, [()])
 
     def test_refuses_non_integer_coordinates(self):
-        with pytest.raises(ValueError, match="must be int64-range integers, not float64"):
+        with pytest.raises(ConfigError, match=r"must be integers in the int64 range \[-2\*\*63"):
             make_point_set(7, 2, [(1.5, 2)])
+
+    # -1 with 2**63 reads as a float64 array: the message names the range, not that dtype.
+    @pytest.mark.parametrize("points", [[(-1, 2 ** 63)], [(True, False)]],
+                             ids=["int64-and-uint64", "bool"])
+    def test_refusal_names_the_integer_range(self, points):
+        with pytest.raises(ConfigError) as info:
+            make_point_set(7, 2, points)
+        assert str(info.value) == "coordinates must be integers in the int64 range [-2**63, 2**63)"
+
+    def test_refuses_a_non_integer_dimension(self):
+        with pytest.raises(ConfigError, match="s must be an integer, got 2.0"):
+            make_point_set(7, 2.0, [(1, 2)])
+
+    def test_numpy_modulus_does_not_wrap_the_radix_check(self):
+        # np.int64(3) ** 41 wraps in int64 and used to pass the check (numpy's ValueError).
+        with pytest.raises(ConfigError, match=r"3\*\*41 exceeds the int64"):
+            make_point_set(np.int64(3), 41, [[0] * 41])
 
     @pytest.mark.parametrize("coord", [2 ** 63, 2 ** 64 - 1])
     def test_reduces_uint64_coordinates_before_the_int64_cast(self, coord):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ffdist import make_field, sqrt_mod
-from ffdist.errors import BadModulus
+from ffdist.errors import ConfigError
 from conftest import PRIMES_TO_31
 
 
@@ -23,21 +23,40 @@ class TestMakeField:
         assert ctx.inv_table[1:].tolist() == [1, 2]  # 2*2 = 4 = 1 mod 3
 
     def test_composite_rejected(self):
-        with pytest.raises(BadModulus, match="q = 9 is not prime"):
+        with pytest.raises(ConfigError, match="q = 9 is not prime"):
             make_field(9)
 
     def test_even_rejected(self):
-        with pytest.raises(BadModulus, match="q = 4 is even"):
+        with pytest.raises(ConfigError, match="q = 4 is even"):
             make_field(4)
 
     def test_too_small_rejected(self):
         for q in (-1, 0, 1, 2):
-            with pytest.raises(BadModulus, match=f"q = {q} < 3"):
+            with pytest.raises(ConfigError, match=f"q = {q} < 3"):
                 make_field(q)
 
     def test_cap_rejected(self):
-        with pytest.raises(BadModulus, match="q = 1048583 exceeds cap 1048576"):
+        with pytest.raises(ConfigError, match="q = 1048583 exceeds cap 1048576"):
             make_field(1048583)  # prime just above 2**20
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(q=7.9), "q must be an integer, got 7.9"),
+        (dict(q=7.0), "q must be an integer, got 7.0"),
+        (dict(q=True), "q must be an integer, got True"),
+        (dict(q="7"), "q must be an integer, got '7'"),
+        (dict(q=7, grid_cap=49.5), "grid_cap must be an integer, got 49.5"),
+        (dict(q=7, pair_cap=False), "pair_cap must be an integer, got False"),
+    ], ids=["q-float", "q-integral-float", "q-bool", "q-str", "grid-cap-float", "pair-cap-bool"])
+    def test_non_integer_values_rejected(self, kwargs, message):
+        # Refused, not truncated: 7.9 used to build F_7, and True was read as q = 1.
+        with pytest.raises(ConfigError) as info:
+            make_field(**kwargs)
+        assert str(info.value) == message
+
+    def test_numpy_integers_accepted(self):
+        ctx = make_field(np.int64(7), grid_cap=np.int32(49), pair_cap=np.uint64(10))
+        assert type(ctx.q) is int and ctx.q == 7
+        assert ctx.grid_cap == 49 and ctx.pair_cap == 10
 
     def test_q5_eta_table_matches_euler_criterion(self):
         ctx = make_field(5)

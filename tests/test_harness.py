@@ -10,7 +10,6 @@ import pytest
 
 from ffdist import make_field, make_point_set
 from ffdist.errors import (
-    BadGenerator,
     DuplicatePoint,
     FieldMismatch,
     ParseError,
@@ -41,11 +40,11 @@ class TestGenerators:
         assert E.size == 5
 
     def test_isotropic_line_rejects_3_mod_4(self, contexts):
-        with pytest.raises(BadGenerator):
+        with pytest.raises(ConfigError):
             generate(contexts[7], 2, GeneratorSpec("isotropic_line"))
 
     def test_isotropic_line_needs_dim_2(self, contexts):
-        with pytest.raises(BadGenerator):
+        with pytest.raises(ConfigError):
             generate(contexts[5], 3, GeneratorSpec("isotropic_line"))
 
     def test_uniform_random_deterministic(self, contexts):
@@ -73,7 +72,7 @@ class TestGenerators:
         assert not np.array_equal(a.points, b.points)
 
     def test_uniform_random_size_cap(self, contexts):
-        with pytest.raises(BadGenerator, match=r"size 10 exceeds q\*\*s = 9"):
+        with pytest.raises(ConfigError, match=r"size 10 exceeds q\*\*s = 9"):
             generate(contexts[3], 2, GeneratorSpec("uniform_random", size=10, seed=0))
 
     def test_sphere_set_full_and_sampled(self, contexts):
@@ -97,7 +96,7 @@ class TestGenerators:
         assert hashlib.blake2b(E.points.tobytes(), digest_size=8).hexdigest() == digest
 
     def test_sphere_set_empty_sphere(self, contexts):
-        with pytest.raises(BadGenerator):
+        with pytest.raises(ConfigError):
             generate(contexts[3], 1, GeneratorSpec("sphere_set", params={"radius": 2}))
 
     def test_subspace(self, contexts):
@@ -132,7 +131,7 @@ class TestGenerators:
     @pytest.mark.parametrize("seed", (-1, 2 ** 128), ids=["negative", "2**128"])
     def test_refuses_a_seed_outside_the_key_range(self, contexts, seed):
         for kind, params in (("uniform_random", {}), ("sphere_set", {"radius": 1})):
-            with pytest.raises(BadGenerator, match=f"seed {seed} outside"):
+            with pytest.raises(ConfigError, match=f"seed {seed} outside"):
                 generate(contexts[5], 2, GeneratorSpec(kind, size=3, seed=seed, params=params))
 
     def test_seed_range_edges_are_accepted(self, contexts):
@@ -152,8 +151,23 @@ class TestGenerators:
             "length-float", "length-bool"])
     def test_refuses_a_non_integer_value(self, contexts, spec, what):
         # Refused, not truncated: seed 1.5 would give seed 1's set, radius 2.9 sphere 2.
-        with pytest.raises(BadGenerator, match=f"{what} must be an integer"):
+        with pytest.raises(ConfigError, match=f"{what} must be an integer"):
             generate(contexts[5], 2, spec)
+
+    @pytest.mark.parametrize("lengths, shown", [(5, "5"), ("23", "'23'"), ({2, 3}, "{2, 3}")],
+                             ids=["int", "str", "set"])
+    def test_refuses_lengths_that_are_not_a_sequence(self, contexts, lengths, shown):
+        # 5 used to raise a raw TypeError, and "23" was read character by character.
+        spec = GeneratorSpec("product_interval", params={"lengths": lengths})
+        with pytest.raises(ConfigError) as info:
+            generate(contexts[5], 2, spec)
+        assert str(info.value) == f"product_interval lengths must be a sequence, got {shown}"
+
+    def test_lengths_may_be_a_tuple(self, contexts):
+        box = [generate(contexts[7], 2, GeneratorSpec("product_interval",
+                                                      params={"lengths": lengths})).points
+               for lengths in ([3, 4], (3, 4))]
+        assert np.array_equal(box[0], box[1])
 
     def test_numpy_integer_values_are_accepted(self, contexts):
         as_numpy = GeneratorSpec("sphere_set", size=np.int64(3), seed=np.uint64(2),
@@ -163,7 +177,7 @@ class TestGenerators:
                               generate(contexts[5], 2, as_int).points)
 
     def test_unknown_kind(self, contexts):
-        with pytest.raises(BadGenerator):
+        with pytest.raises(ConfigError):
             generate(contexts[5], 2, GeneratorSpec("mystery"))
 
     @pytest.mark.parametrize("spec, unread", [
@@ -173,7 +187,7 @@ class TestGenerators:
         (GeneratorSpec("sphere_set", params={"radius": 1, "lengths": [2, 2]}), "lengths"),
     ], ids=["subspace-size", "line-size-radius", "uniform-lengths", "sphere-lengths"])
     def test_refuses_what_its_kind_does_not_read(self, contexts, spec, unread):
-        with pytest.raises(BadGenerator, match=f"kind {spec.kind} does not read {unread}$"):
+        with pytest.raises(ConfigError, match=f"kind {spec.kind} does not read {unread}$"):
             generate(contexts[5], 2, spec)
 
     @pytest.mark.parametrize("spec", [
@@ -267,7 +281,7 @@ class TestSweep:
     def test_config_validation_messages(self):
         base = dict(s_list=[2], size_pairs=[(2, 3)], trials=1, seed=0,
                     checkers=["profile_mass"])
-        with pytest.raises(ConfigError, match="entry 4"):
+        with pytest.raises(ConfigError, match="q = 4 is even"):
             run_verify(SweepConfig(q_list=[3, 4], **base))
         with pytest.raises(ConfigError, match="unknown checker"):
             run_verify(SweepConfig(q_list=[3], s_list=[2], size_pairs=[(2, 3)],
@@ -279,7 +293,7 @@ class TestSweep:
         with pytest.raises(ConfigError, match="trials"):
             run_verify(SweepConfig(q_list=[3], s_list=[2], size_pairs=[(2, 3)],
                                    trials=0, seed=0, checkers=["profile_mass"]))
-        with pytest.raises(ConfigError, match="s_list entry 0: dimension must be >= 1"):
+        with pytest.raises(ConfigError, match="dimension s = 0 must be >= 1"):
             run_verify(SweepConfig(q_list=[3], s_list=[0], size_pairs=[(2, 3)],
                                    trials=1, seed=0, checkers=["profile_mass"]))
         with pytest.raises(ConfigError, match=r"size pair \(2, 0\): sizes must be >= 1"):
@@ -300,6 +314,46 @@ class TestSweep:
                    checkers=["nu_spectral"])
         cfg[field] = repeated
         with pytest.raises(ConfigError, match=message):
+            run_verify(SweepConfig(**cfg))
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("q_list", [7.0], "q must be an integer, got 7.0"),
+        ("q_list", [True], "q must be an integer, got True"),
+        ("s_list", [2.0], "s must be an integer, got 2.0"),
+        ("size_pairs", [(5.0, 5)], "sizeE must be an integer, got 5.0"),
+        ("size_pairs", [(5, True)], "sizeF must be an integer, got True"),
+        ("trials", 1.5, "trials must be an integer, got 1.5"),
+        ("seed", 5.0, "seed must be an integer, got 5.0"),
+        ("seed", True, "seed must be an integer, got True"),
+        ("grid_cap", 2.0 ** 22, "grid_cap must be an integer, got 4194304.0"),
+    ], ids=["q-float", "q-bool", "s-float", "sizeE-float", "sizeF-bool", "trials-float",
+            "seed-float", "seed-bool", "grid-cap-float"])
+    def test_refuses_a_non_integer_value(self, field, value, message):
+        # Refused before any cell: 7.0 and 5.0 used to reach the CSV, and seed 5.0 drew
+        # other sets than seed 5; trials 1.5 and s 2.0 ended in raw TypeError / ValueError.
+        cfg = dict(q_list=[7], s_list=[2], size_pairs=[(5, 5)], trials=1, seed=5,
+                   checkers=["nu_spectral"])
+        cfg[field] = value
+        with pytest.raises(ConfigError) as info:
+            run_verify(SweepConfig(**cfg))
+        assert str(info.value) == message
+
+    def test_numpy_integer_values_are_accepted(self):
+        as_int = SweepConfig(q_list=[7], s_list=[2], size_pairs=[(5, 6)], trials=2, seed=5,
+                             checkers=["nu_spectral"])
+        as_numpy = SweepConfig(q_list=[np.int64(7)], s_list=[np.int32(2)],
+                               size_pairs=[(np.int64(5), np.uint8(6))], trials=np.int64(2),
+                               seed=np.uint64(5), checkers=["nu_spectral"])
+        assert rows_to_csv(run_verify(as_numpy)) == rows_to_csv(run_verify(as_int))
+
+    @pytest.mark.parametrize("grid_cap", [None, 2 ** 70], ids=["default-cap", "huge-cap"])
+    def test_refuses_a_space_past_the_radix_indices(self, grid_cap):
+        # As generate and make_point_set do, whatever the grid cap: no cap makes 3**41 indexable.
+        cfg = dict(q_list=[3], s_list=[41], size_pairs=[(5, 5)], trials=1, seed=0,
+                   checkers=["nu_spectral"])
+        if grid_cap is not None:
+            cfg["grid_cap"] = grid_cap
+        with pytest.raises(ConfigError, match=r"3\*\*41 exceeds the int64 radix index range"):
             run_verify(SweepConfig(**cfg))
 
     def test_parse_helpers(self):
@@ -345,6 +399,15 @@ class TestBench:
     def test_bad_repetitions(self):
         with pytest.raises(ConfigError):
             run_bench(13, 2, 4, 4, repetitions=0)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(repetitions=1.5), "repetitions must be an integer, got 1.5"),
+        (dict(seed=1.0), "seed must be an integer, got 1.0"),
+    ], ids=["repetitions-float", "seed-float"])
+    def test_refuses_a_non_integer_value(self, kwargs, message):
+        with pytest.raises(ConfigError) as info:
+            run_bench(13, 2, 4, 4, **kwargs)
+        assert str(info.value) == message
 
 
 class TestCLI:
@@ -552,7 +615,22 @@ class TestCLI:
         proc = cli("sweep", "--q", "3,4", "--s", "2", "--sizes", "4x6",
                    "--out", str(tmp_path / "x.csv"))
         assert proc.returncode == 2
-        assert "entry 4" in proc.stderr
+        assert proc.stderr == "error: q = 4 is even\n"
+
+    @pytest.mark.parametrize("args, message", [
+        (("verify", "--q", "9", "--s", "2", "--sizeE", "3", "--sizeF", "3"),
+         "error: q = 9 is not prime"),
+        (("sweep", "--q", "7", "--s", "0", "--sizes", "3x3", "--out", "x.out"),
+         "error: dimension s = 0 must be >= 1"),
+        (("gen", "--q", "7", "--s", "2", "--kind", "isotropic_line", "--out", "x.out"),
+         "error: q = 7 = 3 mod 4 has no square root of -1"),
+    ], ids=["verify-modulus", "sweep-dimension", "gen-isotropic-line"])
+    def test_refusal_is_one_unprefixed_line_exit_2(self, tmp_path, args, message):
+        # make_field's and check_indexable's words, with no "q_list entry" prefix.
+        proc = cli(*args, cwd=tmp_path)
+        assert proc.returncode == 2
+        assert proc.stderr == message + "\n" and proc.stdout == ""
+        assert not (tmp_path / "x.out").exists()
 
     def test_cap_error_exit_3(self, tmp_path):
         proc = cli("sweep", "--q", "1021", "--s", "3", "--sizes", "4x6",

@@ -14,7 +14,7 @@ from ffdist import (
     sphere_counts,
     sphere_spectrum,
 )
-from ffdist.errors import BadGenerator, CapExceeded, FieldMismatch
+from ffdist.errors import CapExceeded, ConfigError, FieldMismatch
 from ffdist.charsums import sphere_class_values
 from ffdist.distance import indicator_grid
 from ffdist.generators import GeneratorSpec, generate
@@ -339,7 +339,7 @@ class TestSpheres:
         for r in (0, 1, q - 1):
             count = sphere_counts(ctx, s)[r % q]
             if count == 0:  # sphere_set refuses an empty sphere
-                with pytest.raises(BadGenerator, match="is empty"):
+                with pytest.raises(ConfigError, match="is empty"):
                     sphere_points(ctx, s, r)
                 continue
             sph = sphere_points(ctx, s, r)
