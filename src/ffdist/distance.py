@@ -14,8 +14,9 @@ extra work.
 The pair loop sums each pair's (x_i - y_i)^2 mod q one group of consecutive
 axes at a time, one lookup per group in a table of those sums (all s axes in
 one group at 31^3 or 101^2, one axis a group at q = 1021), into int32 (at most
-s (q - 1) < 2^31), in blocks of about 1e6 pairs, and folds their histogram
-mod q once; no Fourier step.
+s (q - 1) < 2^31), in blocks of E rows against all of F that hold at least
+BLOCK_PAIRS = 2^16 and at least s q pairs, and folds their histogram mod q
+once; no Fourier step.
 The spectral counts must round back to the brute-force integers; a
 residual above 1e-6 raises RoundingDrift instead of returning drifted
 values.
@@ -38,7 +39,14 @@ import numpy as np
 
 from . import charsums
 from .errors import CapExceeded, ConfigError, DuplicatePoint, FieldMismatch, RoundingDrift
-from .field import DEFAULT_PAIR_CAP, FieldContext, as_integer, check_field, check_grid_cap
+from .field import (
+    DEFAULT_PAIR_CAP,
+    FieldContext,
+    as_integer,
+    check_field,
+    check_grid_cap,
+    check_modulus,
+)
 from .spectral import (
     GridFunction,
     Spectrum,
@@ -51,22 +59,30 @@ from .spectral import (
 DEFAULT_RESIDUAL_TOL = 1e-6
 
 # Most entries of one nu_brute group table: a group takes the most axes n with
-# (2q - 1)^n <= TABLE_MAX.  nu_brute seconds by TABLE_MAX (1 BLAS thread, 2-core
-# host, median of 11 interleaved calls; E x F of 2000 x 2010 at 31^3, 5000 x 5000
-# at 101^2, 151^3 and 1021^2, 3000 x 3000 otherwise):
+# (2q - 1)^n <= TABLE_MAX.  nu_brute seconds by TABLE_MAX at BLOCK_PAIRS = 2^16
+# (1 BLAS thread, 2-core host, median of 11 interleaved calls; E x F of 2000 x 2010
+# at 31^3, 5000 x 5000 at 101^2, 151^3 and 1021^2, 3000 x 3000 otherwise):
 #                2^12   2^14   2^16   2^17   2^18   2^19   2^20   2^22
-#   31^3        0.038  0.041  0.040  0.038  0.029  0.028  0.027  0.028
-#   101^2       0.208  0.208  0.141  0.134  0.144  0.138  0.133  0.145
-#   13^5        0.105  0.084  0.081  0.080  0.081  0.099  0.101  0.095
-#   151^3       0.265  0.271  0.279  0.202  0.192  0.185  0.183  0.175
-#   1021^2      0.193  0.166  0.172  0.184  0.177  0.174  0.186  0.356
-#   3^30        0.174  0.139  0.141  0.173  0.160  0.161  0.167  0.306
-#   43^3        0.081  0.059  0.058  0.055  0.056  0.054  0.044  0.048
-#   7^8         0.091  0.077  0.059  0.057  0.056  0.056  0.062  0.073
+#   31^3        0.021  0.021  0.021  0.021  0.014  0.014  0.014  0.014
+#   101^2       0.110  0.110  0.068  0.070  0.068  0.068  0.066  0.069
+#   13^5        0.048  0.035  0.036  0.036  0.036  0.038  0.038  0.039
+#   151^3       0.138  0.133  0.137  0.100  0.099  0.100  0.099  0.098
+#   1021^2      0.104  0.103  0.103  0.104  0.105  0.105  0.105  0.123
+#   3^30        0.091  0.078  0.075  0.077  0.077  0.069  0.071  0.096
+#   43^3        0.049  0.036  0.036  0.037  0.036  0.036  0.026  0.027
+#   7^8         0.049  0.049  0.036  0.036  0.037  0.037  0.037  0.037
 # 2^18 is the least that takes all of 31^3 into one group (61^3 = 226981
-# entries, under 1 MB); from 2^19 the 390625-entry four-axis table slows 13^5,
-# and at 2^22 the two-axis table of 1021^2 (16 MB) doubles its time.
+# entries, under 1 MB); no larger value wins there.  2^20 takes 43^3 into one
+# group (85^3 entries, 2.3 MB) but slows 13^5 with its four-axis table, and at
+# 2^22 the two-axis table of 1021^2 (16 MB) slows it by a sixth.
 TABLE_MAX = 2 ** 18
+# Fewest pairs of one nu_brute block: 2^16 pairs keep its int64 offsets (512 KB) and
+# int32 sums (256 KB) in a 2 MB L2 beside a group table of at most 1 MB; blocks of
+# 1e6 pairs spill to DRAM (20 ms for nu_brute at 31^3, 2000 x 2010, against 14).
+# A block is never smaller than its s q histogram, whose bincount costs O(s q)
+# however few pairs it counts: at 1048573^2 (3000 x 3000) bare 2^16-pair blocks
+# take 3 to 4 times as long as blocks of s q pairs.
+BLOCK_PAIRS = 2 ** 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,9 +103,10 @@ class PointSet:
 
 
 def check_indexable(q: int, s: int) -> None:
-    """Raise ConfigError unless q and s are integers, s >= 1, and every point of F_q^s has
-    an int64 radix index (a numpy q is read as an int, so q**s cannot wrap)."""
-    q, s = as_integer(q, "q"), as_integer(s, "s")
+    """Raise ConfigError unless q is an odd prime in [3, 2**20] (field.check_modulus, as
+    make_field), s is an integer >= 1, and every point of F_q^s has an int64 radix index
+    (a numpy q is read as an int, so q**s cannot wrap)."""
+    q, s = check_modulus(q), as_integer(s, "s")
     if s < 1:
         raise ConfigError(f"dimension s = {s} must be >= 1")
     if q ** s > 2 ** 63 - 1:
@@ -99,21 +116,26 @@ def check_indexable(q: int, s: int) -> None:
 def make_point_set(q: int, s: int, points: Iterable[Sequence[int]]) -> PointSet:
     """Build a PointSet, reducing integer coordinates mod q and rejecting duplicates.
 
-    Like generate and read_pointset it raises ConfigError for an s or
-    q**s past the radix indices, and so it does for an empty, ragged or
-    non-integer list.
+    Like generate and read_pointset it raises ConfigError for a q that is not an odd
+    prime, an s or q**s past the radix indices, and so it does for an empty or ragged
+    list.  One rule holds for each coordinate on its own: an integer of any size is
+    reduced mod q exactly, a bool or a float is refused.  Only an integer array skips
+    the per-coordinate test, as it can hold nothing else.
     """
     check_indexable(q, s)
-    try:
-        pts = np.asarray(list(points))
-    except ValueError:  # numpy refuses a ragged list
-        raise ConfigError(f"points must be {s}-tuples") from None
+    q = int(q)  # a numpy q would promote uint64 coordinates to float64 below
+    pts = points if isinstance(points, np.ndarray) else np.array(list(points), dtype=object)
     if pts.size == 0:
         raise ConfigError("a point set must contain at least one point")
-    if pts.ndim != 2 or pts.shape[1] != s:
+    if pts.ndim != 2 or pts.shape[1] != s:  # a ragged list is a 1-d array of rows
         raise ConfigError(f"points must be {s}-tuples")
-    if pts.dtype.kind not in "iu":  # numpy reads -1 with 2**63 as float64
-        raise ConfigError("coordinates must be integers in the int64 range [-2**63, 2**63)")
+    if pts.dtype.kind not in "iu":
+        def refused(t: type) -> bool:
+            return t is bool or not issubclass(t, (int, np.integer))
+
+        if any(map(refused, set(map(type, pts.flat)))):  # one test per type, not per value
+            c = next(c for c in pts.flat if refused(type(c)))
+            raise ConfigError(f"coordinates must be integers, each reduced mod q; got {c!r}")
     return sorted_point_set(q, s, np.ravel_multi_index((pts % q).astype(np.int64).T, (q,) * s))
 
 
@@ -196,17 +218,20 @@ def nu_brute(E: PointSet, F: PointSet,
              pair_cap: int = DEFAULT_PAIR_CAP) -> DistanceDistribution:
     """Bucket |x - y|^2 over all of E x F; exact integer counts.
 
-    Blocks of E rows against all of F, about 1e6 pairs each, bound the
-    temporaries.  The axes are cut into groups of n consecutive axes, n the
-    most with (2q - 1)^n <= TABLE_MAX (at least 1; the last group may be
-    shorter).  A group's int32 table holds sum_i (d_i^2 mod q) for each
-    offset vector d + (q - 1) read in base 2q - 1, and each point has one
-    int64 key per group, (x + q - 1) . w for E and y . w for F with w the
-    powers of 2q - 1, so a pair's index into the table is kx - ky.  The
-    lookups, one per pair and group, add into one int32 (block, #F)
-    accumulator, whose entries stay at most s (q - 1) < 2^31 (3145716 at
-    q <= 2^20 with q^s < 2^63).  Their int64 histogram, of length s q,
-    folds mod q once.
+    Blocks of E rows against all of F bound the temporaries.  A block holds
+    max(BLOCK_PAIRS, s q) pairs rounded up to whole rows: at least 2^16, so
+    that its offsets and sums sit in L2 beside the group tables, and at least
+    s q, as each block's bincount costs O(s q).  The axes are cut into groups
+    of n consecutive axes, n the most with (2q - 1)^n <= TABLE_MAX (at least
+    1; the last group may be shorter).  A group's int32 table holds
+    sum_i (d_i^2 mod q) for each offset vector d + (q - 1) read in base
+    2q - 1, and each point has one int64 key per group, (x + q - 1) . w for E
+    and y . w for F with w the powers of 2q - 1, so a pair's index into the
+    table is kx - ky.  The lookups, one per pair and group, add into one int32
+    (block, #F) accumulator, whose entries stay at most s (q - 1) < 2^31:
+    check_indexable admits only an odd prime q <= 2^20 with q^s < 2^63, so
+    s (q - 1) <= 3145716.  Their int64 histogram, of length s q, folds mod q
+    once.
     """
     _require_same_field(E, F)
     if E.size * F.size > pair_cap:
@@ -231,7 +256,7 @@ def nu_brute(E: PointSet, F: PointSet,
                        F.points[:, lo:lo + k] @ w))
     (table, kx, ky), *rest = groups
     sums = np.zeros(s * q, dtype=np.int64)  # sums[t] = #pairs whose sum is t
-    block = max(1, 1_000_000 // max(1, F.size))
+    block = -(-max(BLOCK_PAIRS, s * q) // max(1, F.size))  # rows of E, rounded up
     for lo in range(0, E.size, block):
         acc = np.take(table, kx[lo:lo + block, None] - ky)
         for t, x, y in rest:

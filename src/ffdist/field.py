@@ -71,18 +71,9 @@ def as_integer(value: Any, what: str) -> int:
     return int(value)
 
 
-def make_field(q: int, grid_cap: int = DEFAULT_GRID_CAP,
-               pair_cap: int = DEFAULT_PAIR_CAP) -> FieldContext:
-    """Validate q and build the inverse / quadratic-character / character tables.
-
-    grid_cap and pair_cap are stored on the context for every computation
-    that runs on it; 0 is legal and refuses every grid or pair pass.  Raises
-    ConfigError for a non-integer q or cap, a negative cap, or, naming the
-    failed test, a q that is not an odd prime in [3, DEFAULT_MODULUS_CAP].
-    """
-    for name, cap in (("grid_cap", grid_cap), ("pair_cap", pair_cap)):
-        if as_integer(cap, name) < 0:
-            raise ConfigError(f"{name} = {cap} must be >= 0")
+def check_modulus(q: Any) -> int:
+    """q as an int; ConfigError, naming the failed test, unless q is an odd prime in
+    [3, DEFAULT_MODULUS_CAP].  Every field and every point set passes this one test."""
     q = as_integer(q, "q")
     if q < 3:
         raise ConfigError(f"q = {q} < 3")
@@ -92,6 +83,23 @@ def make_field(q: int, grid_cap: int = DEFAULT_GRID_CAP,
         raise ConfigError(f"q = {q} exceeds cap {DEFAULT_MODULUS_CAP}")
     if not _is_prime(q):
         raise ConfigError(f"q = {q} is not prime")
+    return q
+
+
+def make_field(q: int, grid_cap: int = DEFAULT_GRID_CAP,
+               pair_cap: int = DEFAULT_PAIR_CAP) -> FieldContext:
+    """Validate q and build the inverse / quadratic-character / character tables.
+
+    grid_cap and pair_cap are stored on the context for every computation
+    that runs on it; 0 is legal and refuses every grid or pair pass.  Raises
+    ConfigError for a non-integer q or cap, a negative cap, or, naming the
+    failed test, a q that is not an odd prime in [3, DEFAULT_MODULUS_CAP]
+    (check_modulus).
+    """
+    for name, cap in (("grid_cap", grid_cap), ("pair_cap", pair_cap)):
+        if as_integer(cap, name) < 0:
+            raise ConfigError(f"{name} = {cap} must be >= 0")
+    q = check_modulus(q)
 
     # inv[a] via the O(q) recurrence inv[a] = -(q//a) * inv[q%a] mod q.
     inv = np.zeros(q, dtype=np.int64)

@@ -100,16 +100,41 @@ class TestPointSet:
             make_point_set(3, 0, [()])
 
     def test_refuses_non_integer_coordinates(self):
-        with pytest.raises(ConfigError, match=r"must be integers in the int64 range \[-2\*\*63"):
+        with pytest.raises(ConfigError, match=r"must be integers, each reduced mod q; got 1\.5"):
             make_point_set(7, 2, [(1.5, 2)])
 
-    # -1 with 2**63 reads as a float64 array: the message names the range, not that dtype.
-    @pytest.mark.parametrize("points", [[(-1, 2 ** 63)], [(True, False)]],
-                             ids=["int64-and-uint64", "bool"])
-    def test_refusal_names_the_integer_range(self, points):
+    # numpy reads True beside 2 as the int64 1, and 1.0 beside 2 as a float64 array.
+    @pytest.mark.parametrize("points,bad", [
+        ([(True, False)], "True"),
+        ([(2, True)], "True"),
+        ([(2, 1.0)], "1.0"),
+        (np.array([[1, 0]], dtype=bool), "np.True_"),
+        (np.array([[3.0, 1.0]]), "np.float64(3.0)"),
+    ], ids=["bool", "bool-beside-int", "float-beside-int", "bool-array", "float-array"])
+    def test_refusal_names_the_rule(self, points, bad):
         with pytest.raises(ConfigError) as info:
             make_point_set(7, 2, points)
-        assert str(info.value) == "coordinates must be integers in the int64 range [-2**63, 2**63)"
+        assert str(info.value) == f"coordinates must be integers, each reduced mod q; got {bad}"
+
+    # Before, [0, 2**63] and [-1, 2**63] read as float64 arrays and were refused, while
+    # [2**63, 2**63 + 1] read as uint64 and was reduced: the verdict hung on the neighbours.
+    @pytest.mark.parametrize("row", [(0, 2 ** 63), (-1, 2 ** 63), (2 ** 63, 2 ** 63 + 1),
+                                     (2 ** 70, -5), (np.int64(-1), 2 ** 64)],
+                             ids=["zero-beside-2^63", "minus-one-beside-2^63", "uint64-pair",
+                                  "past-uint64", "numpy-int-beside-2^64"])
+    def test_each_integer_coordinate_is_reduced_exactly(self, row):
+        assert make_point_set(7, 2, [row]).points.tolist() == [[int(c) % 7 for c in row]]
+
+    @pytest.mark.parametrize("q,message", [
+        (4, "q = 4 is even"), (9, "q = 9 is not prime"), (1, "q = 1 < 3"),
+        (2 ** 20 + 7, "q = 1048583 exceeds cap 1048576"), (7.0, "q must be an integer, got 7.0"),
+    ], ids=["even", "composite", "below-3", "past-cap", "float"])
+    def test_refuses_a_modulus_make_field_refuses(self, q, message):
+        # Over Z/4 nu_brute counted [0 2 0 0] for two points against (1, 1).
+        for call in (make_field, lambda q: make_point_set(q, 2, [(0, 1), (2, 3)])):
+            with pytest.raises(ConfigError) as info:
+                call(q)
+            assert str(info.value) == message
 
     def test_refuses_a_non_integer_dimension(self):
         with pytest.raises(ConfigError, match="s must be an integer, got 2.0"):
@@ -283,7 +308,14 @@ class TestNuBrute:
         E = make_point_set(q, s, np.unique(rng.integers(0, q, (300, s)), axis=0))
         F = make_point_set(q, s, np.unique(rng.integers(0, q, (250, s)), axis=0))
         nu = nu_brute(E, F).nu
-        assert lookups == [(n, (E.size, F.size)) for n in tables]  # one block
+        # Each block of E rows looks up every group once, all against F, and the
+        # blocks cover E.
+        k = len(tables)
+        assert [n for n, _ in lookups] == tables * (len(lookups) // k)
+        shapes = [shape for _, shape in lookups]
+        assert all(shapes[i:i + k] == [shapes[i]] * k for i in range(0, len(shapes), k))
+        assert {cols for _, cols in shapes} == {F.size}
+        assert sum(rows for rows, _ in shapes[::k]) == E.size
         assert np.array_equal(nu, literal_nu(E, F))
 
     def test_no_group_table_exceeds_table_max(self, lookups):
@@ -304,20 +336,50 @@ class TestNuBrute:
                 assert len(sizes) == 1 or sizes[0] * base > distance.TABLE_MAX
 
     def test_one_row_per_block(self):
-        # #F > 1_000_000 leaves max(1, 1_000_000 // #F) = 1 row of E per block.
+        # #F > max(BLOCK_PAIRS, s q) leaves one row of E per block.
         E, F = random_set(1021, 2, 3, 1), random_set(1021, 2, 1_000_001, 2)
         nu = nu_brute(E, F).nu
         assert nu.dtype == np.int64 and int(nu.sum()) == 3 * 1_000_001
         assert np.array_equal(nu, literal_nu(E, F))
 
     def test_last_block_is_partial(self):
-        # 3000 points of F give blocks of 333 rows; 1000 = 3 * 333 + 1.
+        # 3000 points of F give blocks of ceil(2**16 / 3000) = 22 rows; 1000 = 45 * 22 + 10.
         E, F = random_set(31, 3, 1000, 3), random_set(31, 3, 3000, 4)
         assert np.array_equal(nu_brute(E, F).nu, literal_nu(E, F))
 
+    # A block is ceil(BLOCK_PAIRS / #F) rows where s q <= BLOCK_PAIRS (31^3, one
+    # group of axes), and ceil(s q / #F) rows where the histogram is longer
+    # (s q = 65542 at 32771^2, one axis a group).
+    @pytest.mark.parametrize("q,s,nE,nF,groups,rows", [
+        (31, 3, 100, 3000, 1, [22] * 4 + [12]),
+        (32771, 2, 400, 500, 2, [132] * 3 + [4]),
+    ], ids=["BLOCK_PAIRS", "s*q"])
+    def test_partial_last_block_on_each_side_of_the_floor(self, lookups, q, s, nE, nF,
+                                                          groups, rows):
+        assert -(-max(distance.BLOCK_PAIRS, s * q) // nF) == rows[0]
+        E, F = random_set(q, s, nE, 7), random_set(q, s, nF, 8)
+        nu = nu_brute(E, F).nu
+        assert [shape for _, shape in lookups] == [(n, nF) for n in rows for _ in range(groups)]
+        assert np.array_equal(nu, literal_nu(E, F))
+
+    def test_no_block_is_smaller_than_its_histogram(self, lookups):
+        # At 1048573^2 the s q = 2097146 bins of a block's bincount outnumber
+        # BLOCK_PAIRS, so each block but the last takes at least s q pairs, not 2**16.
+        q, s = 1048573, 2
+        rng = np.random.default_rng(9)
+        E = make_point_set(q, s, np.unique(rng.integers(0, q, (1500, s)), axis=0))
+        F = make_point_set(q, s, np.unique(rng.integers(0, q, (3000, s)), axis=0))
+        assert s * q > distance.BLOCK_PAIRS
+        nu = nu_brute(E, F).nu
+        rows = [shape[0] for _, shape in lookups[::s]]  # one-axis groups: s lookups a block
+        assert len(rows) > 1 and sum(rows) == E.size
+        assert all(n * F.size >= s * q for n in rows[:-1])
+        assert int(nu.sum()) == E.size * F.size
+
     def test_temporaries_stay_bounded(self):
-        # About 1e6 pairs per block in int32; an int64 (block, #F, s)
-        # difference tensor would peak at 76 MB here.
+        # One 61^3 int32 table (0.9 MB) and blocks of 2**16 pairs, 0.5 MB of int64
+        # offsets and 0.25 MB of int32 sums: a 1.9 MB peak.  Blocks of 1e6 pairs
+        # peaked at 16 MB, an int64 (block, #F, s) difference tensor would at 76 MB.
         E, F = random_set(31, 3, 2000, 1), random_set(31, 3, 2010, 2)
         tracemalloc.start()
         try:
@@ -325,7 +387,7 @@ class TestNuBrute:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 32 * 2 ** 20
+        assert peak < 4 * 2 ** 20
 
     def test_independent_of_every_fourier_route(self, monkeypatch):
         def refuse(*args, **kwargs):

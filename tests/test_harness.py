@@ -250,6 +250,17 @@ class TestSetIO:
             with pytest.raises(ParseError, match=re.escape(f"{path}{where}")):
                 read_pointset(path)
 
+    @pytest.mark.parametrize("head,message", [
+        ("9 2 3", "q = 9 is not prime"), ("4 2 1", "q = 4 is even"),
+        ("1048583 1 1", "q = 1048583 exceeds cap 1048576"),
+    ], ids=["composite", "even", "past-cap"])
+    def test_refuses_a_modulus_make_field_refuses(self, tmp_path, head, message):
+        path = tmp_path / "ring.txt"
+        path.write_text(head + "\n" + "0 1\n1 0\n2 3\n")
+        with pytest.raises(ParseError) as info:
+            read_pointset(path)
+        assert str(info.value) == f"{path}:1: {message}"
+
     def test_write_read_roundtrip(self, tmp_path):
         E = make_point_set(7, 3, [(1, 2, 3), (0, 0, 6), (4, 5, 1)])
         path = tmp_path / "rt.txt"
