@@ -14,7 +14,6 @@ from .spectral import (
     GridFunction,
     Spectrum,
     forward_transform,
-    inverse_transform,
     sphere_counts,
     sphere_spectrum,
 )

@@ -17,6 +17,12 @@ one group at 31^3 or 101^2, one axis a group at q = 1021), into int32 (at most
 s (q - 1) < 2^31), in blocks of E rows against all of F that hold at least
 BLOCK_PAIRS = 2^16 and at least s q pairs, and folds their histogram mod q
 once; no Fourier step.
+Two loops run on spectral.split_map's workers, one thread per CPU of the
+process's affinity (the *_NUM_THREADS variables govern BLAS threads alone):
+set_spectra's pocketfft passes, one slab of lines a worker, and nu_brute's
+blocks, one contiguous run of whole blocks a worker, each into its own
+histogram.  The histograms are integers, so their sum is exact in any order,
+and no output byte depends on the worker count.
 The spectral counts must round back to the brute-force integers; a
 residual above 1e-6 raises RoundingDrift instead of returning drifted
 values.
@@ -54,6 +60,7 @@ from .spectral import (
     check_spectrum,
     dense_forward,
     forward_transform,
+    split_map,
 )
 
 DEFAULT_RESIDUAL_TOL = 1e-6
@@ -199,10 +206,20 @@ def set_spectra(ctx: FieldContext, E: PointSet, F: PointSet) -> tuple[Spectrum, 
     if dense_forward(ctx.q):
         return set_spectrum(ctx, E), set_spectrum(ctx, F)
     q, s = E.q, E.s
-    g = np.zeros((q,) * s, dtype=np.complex128)
+    # Filled in this thread, not by np.zeros, so a fresh grid's page faults fall here
+    # and not in the workers' passes.
+    g = np.empty((q,) * s, dtype=np.complex128)
+    g.fill(0)
     g.reshape(-1).real[E.radix_indices()] = 1.0
     g.reshape(-1).imag[F.radix_indices()] = 1.0
-    np.fft.fftn(g, out=g)
+    for a in reversed(range(s)):  # fftn's passes, the last axis first
+        lines = g.reshape(q ** a, q, -1)  # axis a in the middle
+
+        def fft(part: slice, lines: np.ndarray = lines, a: int = a) -> None:
+            slab = lines[part] if a else lines[:, :, part]
+            np.fft.fft(slab, axis=1, out=slab)
+
+        split_map(fft, lines.shape[0] if a else lines.shape[2])
     h, minus = (q + 1) // 2, -np.arange(q) % q
     neg = g[np.ix_(*[minus] * (s - 1), minus[:h])]  # G(-m) on the stored half
     np.conj(neg, out=neg)
@@ -218,7 +235,8 @@ def nu_brute(E: PointSet, F: PointSet,
              pair_cap: int = DEFAULT_PAIR_CAP) -> DistanceDistribution:
     """Bucket |x - y|^2 over all of E x F; exact integer counts.
 
-    Blocks of E rows against all of F bound the temporaries.  A block holds
+    Blocks of E rows against all of F bound the temporaries; split_map gives
+    each worker one contiguous run of whole blocks.  A block holds
     max(BLOCK_PAIRS, s q) pairs rounded up to whole rows: at least 2^16, so
     that its offsets and sums sit in L2 beside the group tables, and at least
     s q, as each block's bincount costs O(s q).  The axes are cut into groups
@@ -230,8 +248,8 @@ def nu_brute(E: PointSet, F: PointSet,
     table is kx - ky.  The lookups, one per pair and group, add into one int32
     (block, #F) accumulator, whose entries stay at most s (q - 1) < 2^31:
     check_indexable admits only an odd prime q <= 2^20 with q^s < 2^63, so
-    s (q - 1) <= 3145716.  Their int64 histogram, of length s q, folds mod q
-    once.
+    s (q - 1) <= 3145716.  Each worker sums its own int64 histogram of length
+    s q; their sum folds mod q once.
     """
     _require_same_field(E, F)
     if E.size * F.size > pair_cap:
@@ -255,13 +273,18 @@ def nu_brute(E: PointSet, F: PointSet,
         groups.append((tables[k - 1], (E.points[:, lo:lo + k] + (q - 1)) @ w,
                        F.points[:, lo:lo + k] @ w))
     (table, kx, ky), *rest = groups
-    sums = np.zeros(s * q, dtype=np.int64)  # sums[t] = #pairs whose sum is t
     block = -(-max(BLOCK_PAIRS, s * q) // max(1, F.size))  # rows of E, rounded up
-    for lo in range(0, E.size, block):
-        acc = np.take(table, kx[lo:lo + block, None] - ky)
-        for t, x, y in rest:
-            acc += np.take(t, x[lo:lo + block, None] - y)
-        sums += np.bincount(acc.ravel(), minlength=s * q)
+
+    def count(part: slice) -> np.ndarray:
+        sums = np.zeros(s * q, dtype=np.int64)  # sums[t] = #pairs whose sum is t
+        for lo in range(part.start * block, min(part.stop * block, E.size), block):
+            acc = np.take(table, kx[lo:lo + block, None] - ky)
+            for t, x, y in rest:
+                acc += np.take(t, x[lo:lo + block, None] - y)
+            sums += np.bincount(acc.ravel(), minlength=s * q)
+        return sums
+
+    sums = sum(split_map(count, -(-E.size // block)))  # exact in any order
     return DistanceDistribution(nu=sums.reshape(s, q).sum(axis=0))
 
 

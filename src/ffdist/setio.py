@@ -26,12 +26,12 @@ def read_pointset(path) -> PointSet:
         q, s, n = (int(v) for v in head)
     except ValueError:
         raise ParseError(f"{path}:1: header must be three integers") from None
-    if q < 3 or s < 1 or n < 1:
-        raise ParseError(f"{path}:1: need q >= 3, s >= 1, n >= 1")
     try:
         check_indexable(q, s)
     except ConfigError as exc:
         raise ParseError(f"{path}:1: {exc}") from None
+    if n < 1:
+        raise ParseError(f"{path}:1: need n >= 1")
     if len(lines) < n + 1:
         raise ParseError(f"{path}: expected {n} point lines, found {len(lines) - 1}")
 

@@ -3,7 +3,6 @@
 Conventions (pinned so every power of q downstream is literal):
 
     forward:  fhat(x) = q^(-s) * sum_m e(-m.x/q) f(m)
-    inverse:  f(x)    =          sum_m e(+m.x/q) fhat(m)
     Plancherel:  sum_m |fhat(m)|^2 = q^(-s) * sum_x |f(x)|^2
 
 Grids are real numpy arrays of shape (q,)*s in C order, which is exactly
@@ -11,8 +10,8 @@ the radix-q row-major encoding of (x_1, ..., x_s); the transforms refuse
 any other shape.  As fhat(-m) =
 conj(fhat(m)), a Spectrum stores only last-axis indices 0 .. (q-1)/2 (q is
 odd: no Nyquist plane), and by_norm buckets by |m|^2 from that half.  The
-inverse is pocketfft's irfftn; the forward backend is chosen from q alone,
-by dense_forward, which distance.set_spectra reads too:
+forward backend is chosen from q alone, by dense_forward, which
+distance.set_spectra reads too:
 
   * q <= PAD_MAX = 128 and q = DENSE_MAX_Q = 151: s dense length-q passes
     against the cached q x q table, the last axis first onto its half, over
@@ -25,7 +24,17 @@ by dense_forward, which distance.set_spectra reads too:
     prime lengths), O(q^s log q).  It uses no BLAS, so its bytes do not
     depend on the BLAS thread count.  At prime q its real transform costs
     about as much as its complex one, so set_spectra takes a cell's two sets
-    through one complex fftn of 1_E + i 1_F there, not through this function.
+    through one complex transform of 1_E + i 1_F there, not through this
+    function: fftn's length-q passes, last axis first, each pass's lines cut
+    into one contiguous slab per worker of split_map.
+
+split_map runs the two loops that are cut across CPUs, those passes and
+distance.nu_brute's blocks: one worker thread per CPU of the process's
+affinity (os.sched_getaffinity; taskset -c 0 gives one, and one worker runs
+inline).  The *_NUM_THREADS variables govern BLAS threads alone; the dense
+passes and the sphere sums stay serial.  Each line of a pass, and each block's
+integer histogram, is computed as on one worker, so no output byte depends on
+the worker count.
 
 Every sphere transform comes from one axis-factored sum, with no closed form:
 as 1[|x|^2 = r] = q^(-1) sum_t e(t (|x|^2 - r)/q),
@@ -48,9 +57,11 @@ generators' sphere_set.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
@@ -82,6 +93,31 @@ DENSE_MAX_Q = 151
 # batched 151 times, 2000 and 11476), other bytes elsewhere.  So no padded contraction
 # is less stable than the plain pass at q; this scan fails under the Haswell and Zen kernels.
 PAD_MAX = 128
+
+# Threads of a split loop (split_map): one per CPU this process may run on, so
+# taskset -c 0 gives one.  The *_NUM_THREADS variables set BLAS threads alone.
+WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+_pool: list = []  # the ThreadPoolExecutor, made by the first split_map of two parts
+_pool_lock = threading.Lock()
+
+
+def split_map(fn: Callable[[slice], Any], n: int) -> list:
+    """[fn(part) for part in parts], range(n) cut into min(WORKERS, n) contiguous slices.
+
+    Every part runs on a thread of one pool, made on first use; a single part runs
+    inline.  Each fn(part) must write only what its part owns, so the results do not
+    depend on WORKERS.
+    """
+    k = max(1, min(WORKERS, n))
+    parts = [slice(n * i // k, n * (i + 1) // k) for i in range(k)]
+    if k == 1:
+        return [fn(parts[0])]
+    with _pool_lock:
+        if not _pool:
+            # Imported here: concurrent.futures loads logging, about 6 ms of start-up.
+            from concurrent.futures import ThreadPoolExecutor
+            _pool.append(ThreadPoolExecutor(WORKERS, thread_name_prefix="ffdist"))
+    return list(_pool[0].map(fn, parts))
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,14 +272,6 @@ def check_spectrum(ctx: FieldContext, F: Spectrum) -> None:
     shape = (ctx.q,) * (F.s - 1) + ((ctx.q + 1) // 2,)
     if F.values.shape != shape:
         raise FieldMismatch(f"spectrum has shape {F.values.shape}, expected {shape}")
-
-
-def inverse_transform(ctx: FieldContext, F: Spectrum) -> GridFunction:
-    """f(x) = sum_m e(+m.x/q) fhat(m); exact inverse of forward_transform."""
-    check_spectrum(ctx, F)
-    check_grid_cap(ctx, F.s)
-    # norm="forward" leaves the inverse sum unscaled.
-    return GridFunction(np.fft.irfftn(F.values, (ctx.q,) * F.s, axes=range(F.s), norm="forward"))
 
 
 def sphere_counts(ctx: FieldContext, s: int) -> np.ndarray:

@@ -30,11 +30,9 @@ from ffdist.generators import GeneratorSpec, generate
 from ffdist.setio import read_pointset
 from ffdist.spectral import (
     GridFunction,
-    Spectrum,
     by_norm,
     forward_transform,
     half_norm_grid,
-    inverse_transform,
     norm_grid,
     sphere_blocks,
     sphere_counts,
@@ -54,8 +52,6 @@ EHAT, FHAT = set_spectrum(make_field(7), E), set_spectrum(make_field(7), F)
 GRID_FUNCTIONS = {
     "forward_transform": lambda ctx: forward_transform(
         ctx, GridFunction(np.zeros((7, 7)))),
-    "inverse_transform": lambda ctx: inverse_transform(
-        ctx, Spectrum(np.zeros((7, 4), dtype=np.complex128))),
     "half_norm_grid": lambda ctx: half_norm_grid(ctx, 2),
     "by_norm": lambda ctx: by_norm(ctx, np.ones((7, 4))),
     "sphere_counts": lambda ctx: sphere_counts(ctx, 2),

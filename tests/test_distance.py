@@ -1,6 +1,9 @@
 import math
 import re
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -23,7 +26,7 @@ from ffdist import (
     spherical_profile,
 )
 from ffdist.errors import CapExceeded, ConfigError, DuplicatePoint, FieldMismatch
-from conftest import random_set
+from conftest import random_set, run_python
 
 TWO_POINTS = [(0, 0), (1, 0)]
 
@@ -38,7 +41,12 @@ def literal_nu(E, F):
 
 @pytest.fixture
 def lookups(monkeypatch):
-    """(table size, index shape) of every np.take call the test makes."""
+    """(table size, index shape) of every np.take call the test makes, in block order.
+
+    One worker runs every block, as the order is that of the blocks only then;
+    TestWorkers holds the split.
+    """
+    monkeypatch.setattr(spectral, "WORKERS", 1)
     calls, take = [], np.take
 
     def spy(a, indices, *args, **kwargs):
@@ -376,18 +384,21 @@ class TestNuBrute:
         assert all(n * F.size >= s * q for n in rows[:-1])
         assert int(nu.sum()) == E.size * F.size
 
-    def test_temporaries_stay_bounded(self):
+    def test_temporaries_stay_bounded(self, monkeypatch):
         # One 61^3 int32 table (0.9 MB) and blocks of 2**16 pairs, 0.5 MB of int64
-        # offsets and 0.25 MB of int32 sums: a 1.9 MB peak.  Blocks of 1e6 pairs
-        # peaked at 16 MB, an int64 (block, #F, s) difference tensor would at 76 MB.
+        # offsets and 0.25 MB of int32 sums, one block a worker: a 2.0 MB peak at one
+        # worker, 3.1 MB at two.  Blocks of 1e6 pairs peaked at 16 MB, an int64
+        # (block, #F, s) difference tensor would at 76 MB.
         E, F = random_set(31, 3, 2000, 1), random_set(31, 3, 2010, 2)
-        tracemalloc.start()
-        try:
-            nu_brute(E, F)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * 2 ** 20
+        for workers in (1, 2):
+            monkeypatch.setattr(spectral, "WORKERS", workers)
+            tracemalloc.start()
+            try:
+                nu_brute(E, F)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 * 2 ** 20, workers
 
     def test_independent_of_every_fourier_route(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -404,6 +415,81 @@ class TestNuBrute:
             monkeypatch.setattr(distance, name, refuse)
         E, F = random_set(31, 3, 200, 5), random_set(31, 3, 210, 6)
         assert np.array_equal(nu_brute(E, F).nu, literal_nu(E, F))
+
+
+def at_one_and_two_workers(monkeypatch, module, name, call):
+    """[(call(), whether every call of module.name ran in the main thread)] at 1 and 2 workers."""
+    inner, on_main = getattr(module, name), []
+
+    def spy(*args, **kwargs):
+        on_main.append(threading.current_thread() is threading.main_thread())
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    out = []
+    for workers in (1, 2):
+        monkeypatch.setattr(spectral, "WORKERS", workers)
+        on_main.clear()
+        result = call()
+        assert on_main
+        out.append((result, set(on_main)))
+    return out
+
+
+class TestWorkers:
+    """The split loops give the same bytes at one and at two workers (spectral.split_map)."""
+
+    @pytest.mark.parametrize("q,s", [(1021, 2), (157, 3), (131, 2), (1021, 1)])
+    def test_set_spectra_bytes(self, monkeypatch, q, s):
+        ctx = make_field(q)
+        assert not spectral.dense_forward(q)
+        E, F = spectra_sets(q, s)
+        (one, main_one), (two, main_two) = at_one_and_two_workers(
+            monkeypatch, np.fft, "fft", lambda: [S.values.tobytes() for S in set_spectra(ctx, E, F)])
+        assert one == two
+        # Each pass of s >= 2 cuts its lines into two slabs, each run on a pool thread;
+        # the one line at s = 1 runs inline.
+        assert main_one == {True} and main_two == {s == 1}
+
+    # 2000 x 2010 at 31^3 makes 61 blocks of 33 rows, 100 x 3000 five; s q = 1048573
+    # sets the block at 1048573^1 (350 rows, 9 blocks).
+    @pytest.mark.parametrize("q,s,nE,nF,blocks", [
+        (31, 3, 2000, 2010, 61), (1021, 2, 3000, 3000, 137), (31, 3, 10, 20, 1),
+        (31, 3, 100, 3000, 5), (1048573, 1, 3000, 3000, 9),
+    ], ids=["31^3", "1021^2", "one-block", "odd-blocks", "1048573^1"])
+    def test_nu_brute_bytes(self, monkeypatch, q, s, nE, nF, blocks):
+        E, F = random_set(q, s, nE, 11), random_set(q, s, nF, 12)
+        block = -(-max(distance.BLOCK_PAIRS, s * q) // nF)
+        assert -(-nE // block) == blocks
+        (one, main_one), (two, main_two) = at_one_and_two_workers(
+            monkeypatch, np, "take", lambda: nu_brute(E, F).nu)
+        assert one.dtype == two.dtype == np.int64 and one.tobytes() == two.tobytes()
+        assert int(one.sum()) == nE * nF
+        assert main_one == {True} and main_two == {blocks == 1}
+
+    def test_concurrent_callers_share_the_pool(self, monkeypatch):
+        # Four callers at once, each splitting across the one pool at a short switch interval.
+        monkeypatch.setattr(spectral, "WORKERS", 2)
+        ctx = make_field(257)
+        E, F = spectra_sets(257, 2)
+        want = [S.values.tobytes() for S in set_spectra(ctx, E, F)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(4) as callers:
+                runs = [callers.submit(set_spectra, ctx, E, F) for _ in range(8)]
+                got = [[S.values.tobytes() for S in run.result(timeout=60)] for run in runs]
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [want] * 8
+
+    def test_import_starts_no_thread(self):
+        # Nor does it load concurrent.futures, which the first split of two parts imports.
+        proc = run_python("-c", "import sys, threading; n = threading.active_count(); "
+                          "import ffdist; print(threading.active_count() - n, ffdist.spectral._pool, "
+                          "'concurrent.futures' in sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "[]", "False"]
 
 
 class TestNuSpectral:

@@ -242,13 +242,21 @@ class TestSetIO:
             read_pointset(path)
         for text, where in (("", ": empty file"),
                             ("5 2 x\n1 2\n", ":1: header must be three integers"),
-                            ("2 2 1\n1 1\n", ":1: need q >= 3, s >= 1, n >= 1"),
-                            ("5 0 1\n\n", ":1: need q >= 3, s >= 1, n >= 1"),
-                            ("5 2 0\n", ":1: need q >= 3, s >= 1, n >= 1"),
                             ("5 2 1\n1 2 3\n", ":2: expected 2 coordinates")):
             path.write_text(text)
             with pytest.raises(ParseError, match=re.escape(f"{path}{where}")):
                 read_pointset(path)
+
+    @pytest.mark.parametrize("head,message", [
+        ("2 2 1", "q = 2 < 3"), ("5 0 1", "dimension s = 0 must be >= 1"), ("5 2 0", "need n >= 1"),
+    ], ids=["q", "s", "n"])
+    def test_one_message_per_refusal(self, tmp_path, head, message):
+        # A bad q or s gets check_indexable's message alone, as make_point_set does.
+        path = tmp_path / "head.txt"
+        path.write_text(head + "\n" + "1 1\n")
+        with pytest.raises(ParseError) as info:
+            read_pointset(path)
+        assert str(info.value) == f"{path}:1: {message}"
 
     @pytest.mark.parametrize("head,message", [
         ("9 2 3", "q = 9 is not prime"), ("4 2 1", "q = 4 is even"),

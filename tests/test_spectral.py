@@ -6,9 +6,7 @@ import pytest
 
 from ffdist import (
     GridFunction,
-    Spectrum,
     forward_transform,
-    inverse_transform,
     make_field,
     spectral,
     sphere_counts,
@@ -145,8 +143,8 @@ class TestForwardTransform:
 def support_sum(values, ms):
     """q^(-s) sum_x f(x) e(-m.x/q) at each frequency row of ms, in long double, off BLAS.
 
-    The kernel e(-t/q) is built from 2 pi t / q in long double, as in the inverse's
-    reference below, and the sum runs over the support of f alone, so a sparse
+    The kernel e(-t/q) is built from 2 pi t / q in long double, and the sum runs
+    over the support of f alone, so a sparse
     151^3 grid is cheap; the phases m.x mod q are integer products.
     """
     q, s = values.shape[0], values.ndim
@@ -244,43 +242,24 @@ class TestOccupiedLines:
         assert outputs[0] == outputs[1]
 
 
-class TestInverseTransform:
-    @pytest.mark.parametrize("q", (3, 5, 7, 13))
-    @pytest.mark.parametrize("s", (1, 2, 3))
-    def test_round_trip(self, contexts, q, s):
-        f = random_grid(q, s, seed=q + 100 * s)
-        F = forward_transform(contexts[q], f)
-        back = inverse_transform(contexts[q], F)
-        assert (f.q, f.s) == (F.q, F.s) == (back.q, back.s) == (q, s)
-        assert np.max(np.abs(back.values - f.values)) <= 1e-9
+class TestSplitMap:
+    @pytest.mark.parametrize("workers,n,cuts", [
+        (1, 5, [0, 5]), (2, 5, [0, 2, 5]), (2, 1, [0, 1]), (3, 2, [0, 1, 2]), (3, 10, [0, 3, 6, 10]),
+    ])
+    def test_contiguous_parts_in_order(self, monkeypatch, workers, n, cuts):
+        monkeypatch.setattr(spectral, "WORKERS", workers)
+        assert spectral.split_map(lambda part: part, n) == \
+            [slice(a, b) for a, b in zip(cuts, cuts[1:])]
 
-    def test_round_trip_binary_grid(self, contexts):
-        rng = np.random.default_rng(7)
-        vals = (rng.random((5, 5)) < 0.5).astype(np.float64)
-        f = GridFunction(vals)
-        back = inverse_transform(contexts[5], forward_transform(contexts[5], f))
-        assert back.values.dtype == np.float64
-        assert np.max(np.abs(back.values - vals)) <= 1e-9
+    def test_a_worker_error_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(spectral, "WORKERS", 2)
 
-    def test_point_mass_spectrum_gives_constant(self, contexts):
-        vals = np.zeros((3, 2), dtype=np.complex128)
-        vals[0, 0] = 1.0
-        g = inverse_transform(contexts[3], Spectrum(vals))
-        assert g.values.shape == (3, 3)
-        assert np.allclose(g.values, 1.0, atol=1e-12)
+        def fail(part):
+            if part.start:
+                raise ValueError(f"part {part.start}")
 
-    def test_rejects_grid_input(self, contexts):
-        # A (3, 3) grid is not the stored half (3, 2) of a spectrum over q = 3.
-        with pytest.raises(FieldMismatch, match=r"has shape \(3, 3\), expected \(3, 2\)"):
-            inverse_transform(contexts[3], random_grid(3, 2, 0))
-
-    def test_refuses_a_spectrum_over_another_field(self, contexts, monkeypatch):
-        S = forward_transform(contexts[7], random_grid(7, 2, 0))
-        monkeypatch.setattr(np.fft, "irfftn", None)  # no transform runs
-        with pytest.raises(FieldMismatch, match="spectrum lives over q=7, field context has q=11"):
-            inverse_transform(contexts[11], S)
-        with pytest.raises(FieldMismatch, match=r"spectrum has shape \(5, 4\), expected \(7, 4\)"):
-            inverse_transform(contexts[7], Spectrum(S.values[:5]))
+        with pytest.raises(ValueError, match="part 1"):
+            spectral.split_map(fail, 2)
 
 
 class TestPlancherel:
@@ -454,8 +433,7 @@ class TestDftMatrix:
 
 
 class TestPocketfftBackend:
-    """Above spectral.DENSE_MAX_Q the forward transform runs on numpy's pocketfft;
-    the inverse runs on it at every q."""
+    """Above spectral.DENSE_MAX_Q the forward transform runs on numpy's pocketfft."""
 
     @pytest.mark.parametrize("binary", (False, True))
     def test_forward_matches_dense_passes_at_q157(self, binary):
@@ -468,18 +446,6 @@ class TestPocketfftBackend:
         dense = dense_passes(spectral._dft_matrices(ctx), g) / 157 ** 2
         assert got.shape == (157, 79)
         assert np.max(np.abs(got - half(dense))) <= 1e-12
-
-    @pytest.mark.parametrize("q", (13, 151, 157))
-    def test_inverse_matches_dense_passes(self, q):
-        # The inverse runs pocketfft at every q, on both sides of DENSE_MAX_Q.
-        ctx = make_field(q)
-        F = np.fft.fftn(random_grid(q, 2, seed=4).values)  # a real grid's full spectrum
-        got = inverse_transform(ctx, Spectrum(half(F))).values
-        # The reference runs in long double, off BLAS, with the kernel e(+x m / q)
-        # built from 2 pi k / q, so its bytes do not depend on the BLAS thread count.
-        k = np.arange(q)
-        V = np.exp(1j * (np.outer(k, k) % q * (2 * np.pi / np.longdouble(q))))
-        assert np.max(np.abs(got - dense_passes(V, F.astype(np.clongdouble)))) <= 1e-10
 
 
 class TestByNorm:
